@@ -26,7 +26,9 @@ import numpy as np
 # (p, k) per supported subfield order q; q^2 is the alphabet of the codes.
 SUPPORTED_Q = {3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
 
-_MAX_ORDER = 1 << 16
+# Symbols are stored as uint8 by the enumeration kernel, and every field
+# builds Q x Q tables, so the alphabet is capped at 2^8 elements.
+_MAX_ORDER = 1 << 8
 
 
 def _is_prime(n: int) -> bool:

@@ -13,7 +13,11 @@ Statuses:
 
 Brute-force enumeration is the arbiter throughout.  At q <= 5 (and for
 the q = 7 cubic code) the reduced enumerator is never trusted alone:
-the exhaustive one must agree exactly before any claim is judged.
+the exhaustive one must agree exactly before any claim is judged.  That
+agreement checks the reduced route's orbit bookkeeping, not the
+enumeration kernel, which both routes share; the kernel is guarded by
+its own oracle tests (a brute-force sum over its box, and a per-message
+encode scan of both routes).
 """
 
 from __future__ import annotations

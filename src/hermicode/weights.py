@@ -17,10 +17,19 @@ run:
   off an integer Hermite normal form) and weighting by |L| gives the
   same counts with roughly (q^2-1)^2 fewer codeword scans.  No free
   action is assumed: coset size is |L| by construction, fixed points
-  just live in supports where L collapses.
+  just live in supports where L collapses.  Where the orbits cannot be
+  read off the shift (it is not diagonal on messages, an eigenvalue is
+  0, or k is above the dimension limit) the exhaustive route runs
+  instead, and the enumerator's ``method`` says so.
 
-Counting is chunked; chunk counts merge by integer addition, so results
-are identical for any chunking and any worker count.
+Both routes walk a product box, and one kernel counts every box: each
+coordinate has a table of its scaled generator rows (all Q scalars for
+the exhaustive route, omega^0 .. omega^(diag_i - 1) for the reduced
+one), stored as uint8.  The tables split into two halves of balanced
+size, each half is folded once into its partial sums, and a word
+left + right has a zero wherever neg(left) == right.  Counting is
+chunked; chunk counts merge by integer addition, so results are
+identical for any chunking and any worker count.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ EXHAUSTIVE_GUARD = 1 << 26
 AUTO_EXHAUSTIVE_LIMIT = 1 << 22
 _REDUCED_DIM_LIMIT = 12
 _REDUCED_REPS_GUARD = 1 << 27
-_CHUNK_ELEMS = 1 << 24
+_CHUNK_ELEMS = 1 << 22
 
 
 class SizeGuardError(ValueError):
@@ -115,64 +124,58 @@ def _run_tasks(tasks, work, jobs: int, n: int) -> np.ndarray:
     return total
 
 
-# -- vectorized field helpers ------------------------------------------
+# -- the product-box kernel --------------------------------------------
 
 
-def _outer_sum(field: Field, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """All pairwise sums of rows: (A, n) x (B, n) -> (A*B, n)."""
-    n = x.shape[1]
-    if field.p == 2:
-        return np.bitwise_xor(x[:, None, :], y[None, :, :]).reshape(-1, n)
-    idx = x[:, None, :].astype(np.int32) * field.order + y[None, :, :]
-    return field.add_table.ravel()[idx].reshape(-1, n)
+def _fold(add: np.ndarray, tables: list[np.ndarray], n: int) -> np.ndarray:
+    """Every sum of one row from each table, as a (prod d_i, n) array; an
+    empty list folds to the single zero row."""
+    acc = np.zeros((1, n), dtype=np.uint8)
+    for table in tables:
+        acc = add[acc[:, None, :], table[None, :, :]].reshape(-1, n)
+    return acc
 
 
-def _elem_sum(field: Field, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if field.p == 2:
-        return np.bitwise_xor(x, y)
-    return field.add_table.ravel()[x.astype(np.int32) * field.order + y]
+def _box_counts(field: Field, factors: list[np.ndarray], jobs: int) -> np.ndarray:
+    """Weight histogram of the product box: every word r_1 + ... + r_s
+    with r_i a row of the d_i x n uint8 table ``factors[i]``.
 
+    The split balances the two halves' sizes, the larger half on the
+    left, whose rows are the chunks.  A zero count is at most
+    n = Q - 1 < 256, so it is summed in uint8.
+    """
+    n = factors[0].shape[1]
+    sizes = [table.shape[0] for table in factors]
+    h = min(range(len(sizes) + 1),
+            key=lambda h: (max(prod(sizes[:h]), prod(sizes[h:])), prod(sizes[h:])))
+    add = field.add_table.astype(np.uint8)
+    neg_left = field.neg_table.astype(np.uint8)[_fold(add, factors[:h], n)]
+    right = _fold(add, factors[h:], n)
+    chunk = max(1, _CHUNK_ELEMS // (right.shape[0] * n))
+    tasks = [(lo, min(lo + chunk, neg_left.shape[0])) for lo in range(0, neg_left.shape[0], chunk)]
 
-def _scalar_multiples(field: Field, row: np.ndarray) -> np.ndarray:
-    """(Q, n) array of s * row over all scalars s."""
-    return field.mul_table[np.arange(field.order)[:, None], row[None, :]]
+    def work(task):
+        lo, hi = task
+        equal = neg_left[lo:hi, None, :] == right[None, :, :]
+        zeros = equal.view(np.uint8).sum(axis=2, dtype=np.uint8)
+        return np.bincount(zeros.ravel(), minlength=n + 1)[::-1]
+
+    return _run_tasks(tasks, work, jobs, n)
 
 
 # -- exhaustive route ---------------------------------------------------
 
 
-def _half_products(field: Field, gen: np.ndarray, rows: range) -> np.ndarray:
-    acc = None
-    for r in rows:
-        table = _scalar_multiples(field, gen[r])
-        acc = table if acc is None else _outer_sum(field, acc, table)
-    if acc is None:
-        return np.zeros((1, gen.shape[1]), dtype=np.int16)
-    return acc
-
-
 def _exhaustive_counts(code: LinearCode, jobs: int) -> np.ndarray:
-    field, gen = code.field, code.gen
-    k, n = gen.shape
-    space = field.order**k
+    field = code.field
+    space = field.order**code.k
     if space > EXHAUSTIVE_GUARD:
         raise SizeGuardError(
             f"message space {space} exceeds the exhaustive guard {EXHAUSTIVE_GUARD}; "
             "use the reduced method"
         )
-    h = (k + 1) // 2
-    left = _half_products(field, gen, range(h))
-    right = _half_products(field, gen, range(h, k))
-    chunk = max(1, _CHUNK_ELEMS // max(1, right.shape[0] * n))
-    tasks = [(lo, min(lo + chunk, left.shape[0])) for lo in range(0, left.shape[0], chunk)]
-
-    def work(task):
-        lo, hi = task
-        words = _outer_sum(field, left[lo:hi], right)
-        weights = n - np.count_nonzero(words == 0, axis=1)
-        return np.bincount(weights, minlength=n + 1)
-
-    return _run_tasks(tasks, work, jobs, n)
+    mul = field.mul_table.astype(np.uint8)
+    return _box_counts(field, [mul[:, row] for row in code.gen], jobs)
 
 
 # -- reduced route ------------------------------------------------------
@@ -207,15 +210,16 @@ def _hnf_diagonal(rows: list[list[int]], s: int, modulus: int) -> list[int]:
     return diag
 
 
-def _reduced_counts(code: LinearCode, jobs: int) -> np.ndarray:
+def _reduced_counts(code: LinearCode, jobs: int) -> np.ndarray | None:
+    """Counts from one box per support pattern, or None when the code's
+    orbits cannot be read off the shift eigenvalues."""
     field, gen = code.field, code.gen
     k, n = gen.shape
     big_n = field.order - 1
     eigen = agcode.shift_diagonal(code)
     if eigen is None or any(e == 0 for e in eigen) or k > _REDUCED_DIM_LIMIT:
-        # Orbit bookkeeping is impossible or too large for this code;
-        # the exhaustive route (with its own guard) is the fallback.
-        return _exhaustive_counts(code, jobs)
+        # Orbit bookkeeping is impossible or too large for this code.
+        return None
     shift_logs = [int(field.log_table[e]) for e in eigen]
 
     supports: list[tuple[tuple[int, ...], list[int], int]] = []
@@ -236,27 +240,11 @@ def _reduced_counts(code: LinearCode, jobs: int) -> np.ndarray:
             )
         supports.append((coords, diag, orbit_size))
 
-    tasks = []
+    mul = field.mul_table.astype(np.uint8)
+    counts = np.zeros(n + 1, dtype=np.int64)
     for coords, diag, orbit_size in supports:
-        reps = prod(diag)
-        chunk = max(1, _CHUNK_ELEMS // (8 * max(1, n)))
-        for lo in range(0, reps, chunk):
-            tasks.append((coords, diag, orbit_size, lo, min(lo + chunk, reps)))
-
-    def work(task):
-        coords, diag, orbit_size, lo, hi = task
-        idx = np.arange(lo, hi, dtype=np.int64)
-        strides = [prod(diag[i + 1:]) for i in range(len(diag))]
-        acc = None
-        for pos, t in enumerate(coords):
-            logs = (idx // strides[pos]) % diag[pos]
-            encs = field.exp_table[logs].astype(np.int16)
-            term = field.mul_table[encs[:, None], gen[t][None, :]]
-            acc = term if acc is None else _elem_sum(field, acc, term)
-        weights = n - np.count_nonzero(acc == 0, axis=1)
-        return orbit_size * np.bincount(weights, minlength=n + 1)
-
-    counts = _run_tasks(tasks, work, jobs, n)
+        factors = [mul[np.ix_(field.exp_table[:d], gen[t])] for t, d in zip(coords, diag)]
+        counts += orbit_size * _box_counts(field, factors, jobs)
     counts[0] += 1  # zero message
     expected = field.order**k
     if int(counts.sum()) != expected:
@@ -286,13 +274,16 @@ def weight_enumerator(code: LinearCode, method: str = "auto", jobs: int | None =
         return cached
     jobs = default_jobs() if jobs is None else max(1, jobs)
     start = time.perf_counter()
-    if resolved == "exhaustive":
-        raw = _exhaustive_counts(code, jobs)
-    else:
+    route, raw = resolved, None
+    if resolved == "reduced":
         raw = _reduced_counts(code, jobs)
+    if raw is None:
+        # The exhaustive route, with its own guard, is the fallback; the
+        # enumerator is labelled with the route that ran.
+        route, raw = "exhaustive", _exhaustive_counts(code, jobs)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     counts = {w: int(c) for w, c in enumerate(raw) if c}
-    enum = WeightEnumerator(code.q, code.m, code.n, code.k, counts, resolved, elapsed_ms)
+    enum = WeightEnumerator(code.q, code.m, code.n, code.k, counts, route, elapsed_ms)
     if enum.total() != code.field.order**code.k:
         raise RuntimeError("enumerator total does not match the message space")
     if enum.count(0) != 1:

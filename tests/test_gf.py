@@ -4,6 +4,7 @@ generator order, norm/trace structure."""
 import numpy as np
 import pytest
 
+from hermicode import gf
 from hermicode.gf import SUPPORTED_Q, field_for_q, make_field
 
 ALL_Q = sorted(SUPPORTED_Q)
@@ -102,6 +103,16 @@ def test_make_field_rejects_bad_parameters():
         make_field(2, 1)  # q = 2 < 3
     with pytest.raises(ValueError):
         make_field(2, 9)  # table limit
+
+
+def test_make_field_refuses_alphabets_the_tables_cannot_hold(monkeypatch):
+    def build(self):
+        raise AssertionError("tables built for an oversized field")
+
+    monkeypatch.setattr(gf.Field, "_find_irreducible", build)
+    monkeypatch.setattr(gf.Field, "_build_tables", build)
+    with pytest.raises(ValueError, match="exceeds the table limit 256"):
+        make_field(2, 5)  # Q = 1024 > 2^8
 
 
 def test_make_field_deterministic_and_cached():

@@ -1,13 +1,15 @@
-"""Weight enumeration: the vectorized exhaustive route is checked
-against a from-scratch function-evaluation enumerator, the reduced
-route against the exhaustive one, and the distributions against their
-closed forms."""
+"""Weight enumeration: the product-box kernel both routes share is
+checked against a brute-force sum over its box, both routes against a
+per-message encode scan and a from-scratch function-evaluation
+enumerator, the reduced route against the exhaustive one, and the
+distributions against their closed forms."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from hermicode import agcode, weights
 from hermicode.agcode import encode
 from hermicode.curve import canonical_orbit_spec, orbit_of
 from hermicode.gf import field_for_q
@@ -46,6 +48,57 @@ def test_exhaustive_matches_naive_function_evaluation(q, m):
     assert enum.counts == _naive_enumerator(q, m)
 
 
+def _brute_box_counts(field, factors):
+    """Independent oracle for the kernel: every row combination, summed
+    symbol by symbol through the add table."""
+    n = factors[0].shape[1]
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for rows in itertools.product(*factors):
+        acc = np.zeros(n, dtype=np.int64)
+        for row in rows:
+            acc = field.add_table[acc, row]
+        counts[np.count_nonzero(acc)] += 1
+    return counts
+
+
+# q = 4 and 8 have p = 2, q = 3 and 5 odd p.  One factor leaves one half
+# of the split empty; size-1 factors make unit-size halves.
+@pytest.mark.parametrize("q", [3, 4, 5, 8])
+@pytest.mark.parametrize(
+    "sizes", [(1,), (6,), (1, 1), (1, 7), (3, 4), (2, 1, 3), (4, 2, 3, 2), (1, 1, 1, 1)]
+)
+def test_box_kernel_matches_brute_force(q, sizes):
+    field = field_for_q(q)
+    rng = np.random.default_rng([q, *sizes])
+    a, b = (int(x) for x in rng.integers(1, field.order, 2))
+    # Symbols from a pool closed under negation, so sums cancel often.
+    pool = np.array([0, a, field.neg(a), b, field.neg(b)], dtype=np.uint8)
+    factors = [pool[rng.integers(0, len(pool), (d, 9))] for d in sizes]
+    counts = weights._box_counts(field, factors, jobs=1)
+    assert counts.dtype == np.int64
+    assert int(counts.sum()) == int(np.prod(sizes))
+    assert np.array_equal(counts, _brute_box_counts(field, factors))
+
+
+def _encode_scan(code):
+    """Independent oracle for both routes: encode every message."""
+    counts: dict[int, int] = {}
+    for msg in itertools.product(code.field.elements(), repeat=code.k):
+        w = encode(code, msg).weight
+        counts[w] = counts.get(w, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("q,m", [(4, 3), (5, 2)])
+def test_both_routes_match_encode_scan(q, m):
+    code = agcode.build_code(field_for_q(q), m)
+    scan = _encode_scan(code)
+    for method in ("exhaustive", "reduced"):
+        enum = weight_enumerator(code, method)
+        assert enum.method == method
+        assert enum.counts == scan
+
+
 # Closed-form two-weight distributions for m = 2.
 TWO_WEIGHT = {
     3: {0: 1, 6: 32, 8: 48},
@@ -79,17 +132,32 @@ def test_enumerator_bookkeeping():
     assert enum.nonzero_weights() == sorted(w for w in enum.counts if w)
 
 
-def test_jobs_do_not_change_counts():
-    code = _code(5, 3)
-    base = weight_enumerator(code, "exhaustive", jobs=1)
-    code._enum_cache.clear()
-    par = weight_enumerator(code, "exhaustive", jobs=4)
-    assert base == par
-    code._enum_cache.clear()
-    red1 = weight_enumerator(code, "reduced", jobs=1)
-    code._enum_cache.clear()
-    red8 = weight_enumerator(code, "reduced", jobs=8)
-    assert red1 == red8
+def test_jobs_do_not_change_counts(monkeypatch):
+    # q = 4 has p = 2, q = 5 odd p.  A one-element chunk budget splits
+    # every box into one task per left row.
+    for q in (4, 5):
+        code = agcode.build_code(field_for_q(q), 3)
+        for method in ("exhaustive", "reduced"):
+            code._enum_cache.clear()
+            base = weight_enumerator(code, method, jobs=1).counts
+            with monkeypatch.context() as patch:
+                patch.setattr(weights, "_CHUNK_ELEMS", 1)
+                for jobs in (1, 2, 8):
+                    code._enum_cache.clear()
+                    assert weight_enumerator(code, method, jobs=jobs).counts == base
+
+
+@pytest.mark.parametrize("patch", ["no_diagonal", "dimension_limit"])
+def test_reduced_fallback_reports_the_route_that_ran(monkeypatch, patch):
+    code = agcode.build_code(field_for_q(4), 3)
+    if patch == "no_diagonal":
+        monkeypatch.setattr(agcode, "shift_diagonal", lambda code: None)
+    else:
+        monkeypatch.setattr(weights, "_REDUCED_DIM_LIMIT", code.k - 1)
+    enum = weight_enumerator(code, "reduced")
+    assert enum.method == "exhaustive"
+    assert enum.to_dict()["method"] == "exhaustive"
+    assert enum == weight_enumerator(_code(4, 3), "exhaustive")
 
 
 def test_exhaustive_guard():

@@ -66,7 +66,7 @@ class LinearCode:
         }
 
 
-def _assert_full_rank(field: Field, rows: list[list[int]], context: str) -> None:
+def _assert_full_rank(field: Field, rows, context: str) -> None:
     r = linalg.rank(field, rows)
     if r != len(rows):
         raise RuntimeError(
@@ -76,22 +76,35 @@ def _assert_full_rank(field: Field, rows: list[list[int]], context: str) -> None
 
 
 def build_code(field: Field, m: int, spec: OrbitSpec | None = None) -> LinearCode:
-    """Evaluate the basis over the ordered orbit and check injectivity."""
+    """Evaluate the basis over the ordered orbit and check injectivity.
+
+    Basis function t is x^a_t * y^b_t: (0, 0) for the constant, then
+    (i - m, j + 1) for y * x^i * y^j / x^m.  Every orbit point (u, v) has
+    u, v != 0 (see OrbitSpec), so the whole matrix is one exp-table
+    gather at (a_t * log u + b_t * log v) mod (Q - 1).
+    """
     if spec is None:
         spec = canonical_orbit_spec(field)
-    funcs = rrspace.basis(field, m)
     points = orbit_of(spec)
-    gen = np.array(
-        [[rrspace.evaluate(f, pt) for pt in points] for f in funcs], dtype=np.int16
-    )
-    code = LinearCode(field, m, spec, gen, points)
-    _assert_full_rank(field, code.rows(), f"build_code(q={field.q}, m={m})")
+    powers = np.array([(0, 0)] + [(i - m, j + 1) for i, j in rrspace.monomials(m)])
+    logs = field.log_table[np.array(points)[:, :2]]
+    gen = field.exp_table[(powers @ logs.T) % (field.order - 1)].astype(np.int16)
+    code = LinearCode(field, m, spec, gen, points)  # checks the range of m
+    _assert_full_rank(field, code.gen, f"build_code(q={field.q}, m={m})")
     return code
 
 
-def encode(code: LinearCode, msg) -> Codeword:
+def check_message(code: LinearCode, msg) -> None:
+    """Refuse a message of the wrong length or with a symbol outside [0, Q)."""
     if len(msg) != code.k:
         raise ValueError(f"message length {len(msg)} != k={code.k}")
+    bad = [s for s in msg if not 0 <= s < code.field.order]
+    if bad:
+        raise ValueError(f"message symbols {bad} outside [0, {code.field.order})")
+
+
+def encode(code: LinearCode, msg) -> Codeword:
+    check_message(code, msg)
     f = code.field
     acc = np.zeros(code.n, dtype=np.int16)
     for coef, row in zip(msg, code.gen):
@@ -104,21 +117,21 @@ def shift(symbols) -> tuple[int, ...]:
     return tuple(symbols[1:]) + (symbols[0],)
 
 
-def _shifted_rows(code: LinearCode) -> list[list[int]]:
-    return [list(np.roll(row, -1)) for row in code.rows()]
+def _shifted_rows(code: LinearCode) -> np.ndarray:
+    return np.roll(code.gen, -1, axis=1)
 
 
 def check_cyclic(code: LinearCode) -> bool:
     """Shift closure of the generator rows, certified by the rank of the
     rows stacked with their shifts staying k."""
-    stacked = code.rows() + _shifted_rows(code)
+    stacked = np.vstack([code.gen, _shifted_rows(code)])
     return linalg.rank(code.field, stacked) == code.k
 
 
 def shift_message_matrix(code: LinearCode) -> list[list[int]]:
     """Matrix S acting on row-vector messages: the shift of encode(msg)
     equals encode(msg S), with (msg S)_t = sum_r msg_r S[r][t]."""
-    mat = linalg.express_rows(code.field, code.rows(), _shifted_rows(code))
+    mat = linalg.express_rows(code.field, code.gen, _shifted_rows(code))
     if mat is None:
         raise RuntimeError("code is not shift-closed; no message shift matrix exists")
     return mat

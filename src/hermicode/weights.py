@@ -369,6 +369,7 @@ def orbit_zero_polynomial(code: LinearCode, msg) -> dict[int, int]:
     """Exponent -> coefficient of the polynomial whose nonzero roots are
     exactly the orbit x-coordinates where the message's function
     vanishes: substitute y = tau*x^(q+1), divide by x^m."""
+    agcode.check_message(code, msg)
     field, m, q = code.field, code.m, code.q
     tau = code.spec.tau
     poly: dict[int, int] = {}
@@ -387,16 +388,19 @@ def orbit_zero_polynomial(code: LinearCode, msg) -> dict[int, int]:
 def zero_count_via_roots(code: LinearCode, msg) -> int:
     """Number of orbit points where the message's function vanishes,
     counted by scanning nonzero roots of the substituted polynomial."""
-    field = code.field
-    poly = orbit_zero_polynomial(code, msg)
-    count = 0
-    for x in field.nonzero():
-        acc = 0
-        for e, c in poly.items():
-            acc = field.add(acc, field.mul(c, field.pow(x, e)))
-        if acc == 0:
-            count += 1
-    return count
+    values = _poly_values(code.field, orbit_zero_polynomial(code, msg))
+    return int(np.count_nonzero(values[1:] == 0))
+
+
+def _poly_values(field: Field, terms: dict[int, int]) -> np.ndarray:
+    """Values of sum c * x^e (e >= 0) at every x in F_Q, indexed by the
+    encoding of x; at x = 0, x^0 = 1 and x^e = 0 for e > 0."""
+    x_logs = field.log_table[1:]
+    acc = np.zeros(field.order, dtype=np.int64)
+    for e, c in terms.items():
+        power = np.concatenate([[int(e == 0)], field.exp_table[(x_logs * e) % (field.order - 1)]])
+        acc = field.add_table[acc, field.mul_table[c, power]]
+    return acc
 
 
 # -- sparse (lacunary) polynomial root counts -----------------------------
@@ -450,12 +454,5 @@ def _add_term(field: Field, terms: dict[int, int], e: int, c: int) -> None:
 
 
 def _scan_roots(field: Field, terms: dict[int, int], include_zero: bool) -> tuple[int, ...]:
-    roots = []
-    start = 0 if include_zero else 1
-    for x in range(start, field.order):
-        acc = 0
-        for e, c in terms.items():
-            acc = field.add(acc, field.mul(c, field.pow(x, e)))
-        if acc == 0:
-            roots.append(x)
-    return tuple(roots)
+    roots = np.flatnonzero(_poly_values(field, terms) == 0)
+    return tuple(int(x) for x in roots if include_zero or x != 0)

@@ -15,7 +15,7 @@ from hermicode.agcode import (
     shift_message_matrix,
     _assert_full_rank,
 )
-from hermicode.curve import orbit_of
+from hermicode.curve import all_orbit_specs, canonical_orbit_spec, orbit_of
 from hermicode.gf import field_for_q
 from hermicode.rrspace import basis, evaluate, monomials
 
@@ -39,14 +39,19 @@ def test_full_dimension_grid():
 
 
 def test_columns_are_basis_evaluations():
-    f = field_for_q(4)
-    code = build_code(f, 3)
-    funcs = basis(f, 3)
-    points = orbit_of(code.spec)
-    assert points == code.points
-    for r, fn in enumerate(funcs):
-        for i, pt in enumerate(points):
-            assert int(code.gen[r, i]) == evaluate(fn, pt)
+    # Every orbit and every m for q <= 5, and the largest code (q=9, m=8,
+    # k=29) on the canonical orbit, entry by entry against evaluate().
+    cases = [(q, spec, m) for q in (3, 4, 5) for spec in all_orbit_specs(field_for_q(q))
+             for m in range(2, q)]
+    cases.append((9, canonical_orbit_spec(field_for_q(9)), 8))
+    for q, spec, m in cases:
+        f = field_for_q(q)
+        code = build_code(f, m, spec)
+        points = orbit_of(spec)
+        assert points == code.points
+        expected = [[evaluate(fn, pt) for pt in points] for fn in basis(f, m)]
+        assert code.gen.dtype == np.int16
+        assert code.gen.tolist() == expected, (q, spec.u, spec.v, m)
 
 
 def test_encode_zero_and_constant_row():
@@ -75,6 +80,14 @@ def test_encode_length_check():
     code = build_code(field_for_q(3), 2)
     with pytest.raises(ValueError):
         encode(code, [1, 2, 3])
+
+
+@pytest.mark.parametrize("symbol", [-1, 9])
+def test_encode_rejects_symbols_outside_the_field(symbol):
+    # Q = 9 at q = 3: a negative index would wrap around the tables.
+    code = build_code(field_for_q(3), 2)
+    with pytest.raises(ValueError, match="outside"):
+        encode(code, [symbol, 0])
 
 
 @pytest.mark.parametrize("q,m", GRID)

@@ -1,0 +1,93 @@
+"""Table-driven elimination against brute force: the rank is log_Q of
+the row span, counted over every combination of the rows; the transform
+reproduces the rref; the rref is reduced; and express_rows finds exactly
+the targets that lie in the span."""
+
+import numpy as np
+import pytest
+
+from hermicode import linalg
+from hermicode.gf import field_for_q
+
+
+def _key(field, vecs):
+    """Each vector as one integer, its symbols read as base-Q digits."""
+    vecs = np.asarray(vecs, dtype=np.int64)
+    return vecs @ field.order ** np.arange(vecs.shape[-1], dtype=np.int64)
+
+
+def _span(field, rows):
+    """Every combination sum_i c_i * rows[i], c_i in F_Q, summed through
+    the add/mul tables; the distinct results as sorted keys."""
+    ncols = len(rows[0])
+    combos = np.zeros((1, ncols), dtype=np.int64)
+    keys = _key(field, combos)
+    for row in rows:
+        scaled = field.mul_table[:, np.asarray(row, dtype=np.int64)]
+        combos = field.add_table[combos[:, None, :], scaled[None, :, :]].reshape(-1, ncols)
+        keys, first = np.unique(_key(field, combos), return_index=True)
+        combos = combos[first]
+    return keys
+
+
+def _times(field, mat, rows):
+    """Matrix product over the field, one scalar operation at a time."""
+    out = []
+    for coeffs in mat:
+        acc = [0] * len(rows[0])
+        for c, row in zip(coeffs, rows):
+            acc = [field.add(a, field.mul(c, b)) for a, b in zip(acc, row)]
+        out.append(acc)
+    return out
+
+
+def _random_rows(field, rng):
+    """At most 4 rows, with zero rows, zero columns, repeated rows and
+    rows that are combinations of earlier ones mixed in."""
+    nrows, ncols = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+    zero_cols = rng.random(ncols) < 0.2
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15:
+            row = [0] * ncols
+        elif kind < 0.45 and rows:
+            row = [0] * ncols
+            for prev in rows:
+                c = int(rng.integers(0, field.order))
+                row = [field.add(a, field.mul(c, b)) for a, b in zip(row, prev)]
+        else:
+            row = [int(x) for x in rng.integers(0, field.order, ncols)]
+        rows.append([0 if z else x for x, z in zip(row, zero_cols)])
+    return rows
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_row_reduce_matches_brute_force_span(q):
+    f = field_for_q(q)
+    rng = np.random.default_rng(900 + q)
+    for _ in range(40):
+        rows = _random_rows(f, rng)
+        ncols = len(rows[0])
+        span = _span(f, rows)
+        rref, pivots, trans = linalg.row_reduce(f, rows)
+        r = len(pivots)
+        assert f.order**r == len(span)
+        assert linalg.rank(f, np.array(rows)) == r
+        assert _times(f, trans, rows) == rref
+        assert pivots == sorted(set(pivots))
+        for idx, row in enumerate(rref):
+            if idx >= r:
+                assert not any(row)
+                continue
+            c = pivots[idx]
+            assert row[c] == 1 and not any(row[:c])
+            assert [other[c] for other in rref] == [int(i == idx) for i in range(len(rref))]
+
+        combos = rng.integers(0, f.order, (2, len(rows)))
+        targets = _times(f, combos, rows) + [[int(x) for x in rng.integers(0, f.order, ncols)]]
+        found = linalg.express_rows(f, rows, targets)
+        if np.isin(_key(f, targets), span).all():
+            assert _times(f, found, rows) == targets
+        else:
+            assert found is None

@@ -249,6 +249,48 @@ def test_orbit_zero_polynomial_degree_bound():
                 assert max(poly) <= q * (m - 1) - 1
 
 
+def _brute_roots(field, terms, start):
+    """Roots in [start, Q) of sum c * x^e, one Field.pow per term and x."""
+    roots = []
+    for x in range(start, field.order):
+        acc = 0
+        for e, c in terms.items():
+            acc = field.add(acc, field.mul(c, field.pow(x, e)))
+        if acc == 0:
+            roots.append(x)
+    return tuple(roots)
+
+
+@pytest.mark.parametrize("q", [3, 8, 9])
+def test_root_scans_match_brute_force(q):
+    f = field_for_q(q)
+    rng = np.random.default_rng(500 + q)
+    for trial in range(40):
+        # Exponents up to 2Q, so some wrap past Q - 1; constant terms
+        # and zero coefficients appear, and trial 0 is the empty sum.
+        exps = rng.integers(0, 2 * f.order, int(rng.integers(0, 5))) if trial else []
+        terms = {int(e): int(rng.integers(0, f.order)) for e in exps}
+        if trial % 3 == 1:
+            terms[0] = int(rng.integers(1, f.order))
+        for include_zero in (True, False):
+            assert weights._scan_roots(f, terms, include_zero) == \
+                _brute_roots(f, terms, 0 if include_zero else 1)
+    for m in range(2, min(q, 5)):
+        code = _code(q, m)
+        msgs = [[0] * code.k, [1] + [0] * (code.k - 1)]
+        msgs += [[int(x) for x in rng.integers(0, f.order, code.k)] for _ in range(20)]
+        for msg in msgs:
+            poly = orbit_zero_polynomial(code, msg)
+            assert zero_count_via_roots(code, msg) == len(_brute_roots(f, poly, 1))
+
+
+@pytest.mark.parametrize("symbol", [-1, 9])
+def test_root_count_rejects_symbols_outside_the_field(symbol):
+    code = _code(3, 2)
+    with pytest.raises(ValueError, match="outside"):
+        zero_count_via_roots(code, [symbol, 0])
+
+
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8])
 def test_lacunary_general_trichotomy(q):
     f = field_for_q(q)

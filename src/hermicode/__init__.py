@@ -6,7 +6,7 @@ stabilizer, computes their exact weight enumerators, and verifies the
 known facts about their parameters and weight distributions.
 """
 
-from .gf import Field, FieldElement, field_for_q, make_field
+from .gf import Field, field_for_q, make_field
 from .curve import HermitianCurve, OrbitSpec, canonical_orbit_spec
 from .rrspace import RRFunction, basis, evaluate
 from .agcode import LinearCode, build_code, check_cyclic, encode
@@ -20,7 +20,6 @@ from .weights import (
 
 __all__ = [
     "Field",
-    "FieldElement",
     "HermitianCurve",
     "LinearCode",
     "OrbitSpec",

@@ -5,6 +5,11 @@ orbit point, column i holding the value at Q_{i+1}.  With that column
 order the omega scaling of the plane realizes the coordinate shift
 (c_1, ..., c_n) -> (c_2, ..., c_n, c_1), so shift closure of the row
 space certifies that the whole code is cyclic.
+
+Substituting y = tau * x^(q+1) on the orbit turns basis function
+x^a * y^b into a multiple of the monomial x^e, e = a + (q+1) b, so the
+shift multiplies generator row t by omega^e_t.  The exponents e_t form
+the set E = {0} u {q+1-m+i+j(q+1) : i+j <= m-2}.
 """
 
 from __future__ import annotations
@@ -28,7 +33,11 @@ class Codeword:
 
 
 class LinearCode:
-    """A [q^2 - 1, m(m-1)/2 + 1] evaluation code over F_{q^2}."""
+    """A [q^2 - 1, m(m-1)/2 + 1] evaluation code over F_{q^2}.
+
+    ``powers`` holds the basis exponent pairs (a_t, b_t) and
+    ``exponents`` the shift exponents e_t = a_t + (q+1) b_t.
+    """
 
     def __init__(self, field: Field, m: int, spec: OrbitSpec, gen: np.ndarray, points: list[Point]):
         self.field = field
@@ -38,7 +47,8 @@ class LinearCode:
         self.gen = gen
         self.points = points
         self.k, self.n = gen.shape
-        self.basis = rrspace.basis(field, m)
+        self.powers = rrspace.powers(field, m)
+        self.exponents = self.powers @ np.array([1, field.q + 1])
         self._enum_cache: dict[str, object] = {}
 
     def __repr__(self) -> str:
@@ -76,21 +86,25 @@ def _assert_full_rank(field: Field, rows, context: str) -> None:
 
 
 def build_code(field: Field, m: int, spec: OrbitSpec | None = None) -> LinearCode:
-    """Evaluate the basis over the ordered orbit and check injectivity.
+    """Evaluate the basis over the ordered orbit, check injectivity, and
+    check that the shift scales row t by omega^e_t.
 
-    Basis function t is x^a_t * y^b_t: (0, 0) for the constant, then
-    (i - m, j + 1) for y * x^i * y^j / x^m.  Every orbit point (u, v) has
-    u, v != 0 (see OrbitSpec), so the whole matrix is one exp-table
-    gather at (a_t * log u + b_t * log v) mod (Q - 1).
+    Basis function t is x^a_t * y^b_t (``rrspace.powers``).  Every orbit
+    point (u, v) has u, v != 0 (see OrbitSpec), so the whole matrix is
+    one exp-table gather at (a_t * log u + b_t * log v) mod (Q - 1).
     """
     if spec is None:
         spec = canonical_orbit_spec(field)
     points = orbit_of(spec)
-    powers = np.array([(0, 0)] + [(i - m, j + 1) for i, j in rrspace.monomials(m)])
     logs = field.log_table[np.array(points)[:, :2]]
+    powers = rrspace.powers(field, m)  # checks the range of m
     gen = field.exp_table[(powers @ logs.T) % (field.order - 1)].astype(np.int16)
-    code = LinearCode(field, m, spec, gen, points)  # checks the range of m
-    _assert_full_rank(field, code.gen, f"build_code(q={field.q}, m={m})")
+    code = LinearCode(field, m, spec, gen, points)
+    context = f"build_code(q={field.q}, m={m})"
+    _assert_full_rank(field, code.gen, context)
+    scaled = field.mul_table[field.exp_table[code.exponents][:, None], code.gen]
+    if not np.array_equal(np.roll(code.gen, -1, axis=1), scaled):
+        raise RuntimeError(f"{context}: the shift does not scale row t by omega^e_t")
     return code
 
 
@@ -113,38 +127,8 @@ def encode(code: LinearCode, msg) -> Codeword:
     return Codeword(tuple(int(x) for x in acc))
 
 
-def shift(symbols) -> tuple[int, ...]:
-    return tuple(symbols[1:]) + (symbols[0],)
-
-
-def _shifted_rows(code: LinearCode) -> np.ndarray:
-    return np.roll(code.gen, -1, axis=1)
-
-
 def check_cyclic(code: LinearCode) -> bool:
     """Shift closure of the generator rows, certified by the rank of the
     rows stacked with their shifts staying k."""
-    stacked = np.vstack([code.gen, _shifted_rows(code)])
+    stacked = np.vstack([code.gen, np.roll(code.gen, -1, axis=1)])
     return linalg.rank(code.field, stacked) == code.k
-
-
-def shift_message_matrix(code: LinearCode) -> list[list[int]]:
-    """Matrix S acting on row-vector messages: the shift of encode(msg)
-    equals encode(msg S), with (msg S)_t = sum_r msg_r S[r][t]."""
-    mat = linalg.express_rows(code.field, code.gen, _shifted_rows(code))
-    if mat is None:
-        raise RuntimeError("code is not shift-closed; no message shift matrix exists")
-    return mat
-
-
-def shift_diagonal(code: LinearCode) -> list[int] | None:
-    """Diagonal of the message shift matrix if it is diagonal, else None.
-
-    The basis functions are eigenvectors of the orbit scaling, so this
-    is the expected shape.
-    """
-    s = shift_message_matrix(code)
-    k = code.k
-    if any(s[i][j] != 0 for i in range(k) for j in range(k) if i != j):
-        return None
-    return [s[i][i] for i in range(k)]

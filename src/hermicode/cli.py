@@ -7,6 +7,7 @@ non-canonical field is elapsed_ms in the weights payload, which is
 informational and excluded from determinism comparisons.
 
 Exit codes: 0 success, 1 failed claim, 2 usage error, 3 size guard.
+Any other error is a fault of the program and ends with its traceback.
 """
 
 from __future__ import annotations
@@ -240,9 +241,6 @@ def main(argv=None) -> int:
     except weights.SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_GUARD
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def console_main() -> None:

@@ -99,8 +99,8 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
 class Field:
     """The field F_{q^2} with q = p^k, plus its norm/trace structure.
 
-    Operations take and return plain integer encodings.  Wrap an
-    encoding with :meth:`element` for operator syntax.
+    Operations take and return plain integer encodings in [0, Q) and do
+    not check that range; callers that take symbols from outside do.
     """
 
     def __init__(self, p: int, k: int):
@@ -246,15 +246,6 @@ class Field:
         return bool(self.subfield_mask[a])
 
     # -- element access ----------------------------------------------
-    def element(self, enc: int) -> "FieldElement":
-        if not 0 <= enc < self.order:
-            raise ValueError(f"encoding {enc} out of range for order {self.order}")
-        return FieldElement(enc, self)
-
-    def from_int(self, n: int) -> int:
-        # Canonical image of an integer: n mod p times the identity.
-        return n % self.p
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -272,100 +263,6 @@ class Field:
 
     def __hash__(self) -> int:
         return hash((self.p, self.k))
-
-
-class FieldElement:
-    """Thin operator wrapper around an integer encoding."""
-
-    __slots__ = ("enc", "field")
-
-    def __init__(self, enc: int, field: Field):
-        self.enc = enc
-        self.field = field
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise ValueError("elements belong to different fields")
-            return other.enc
-        if isinstance(other, (int, np.integer)):
-            return self.field.from_int(int(other))
-        return NotImplemented
-
-    def __add__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.add(self.enc, b), self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.sub(self.enc, b), self.field)
-
-    def __rsub__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.sub(b, self.enc), self.field)
-
-    def __mul__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.mul(self.enc, b), self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.div(self.enc, b), self.field)
-
-    def __rtruediv__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.div(b, self.enc), self.field)
-
-    def __neg__(self):
-        return FieldElement(self.field.neg(self.enc), self.field)
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field.pow(self.enc, e), self.field)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.enc == other.enc and self.field == other.field
-        if isinstance(other, (int, np.integer)):
-            return self.enc == self.field.from_int(int(other))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.enc, self.field.p, self.field.k))
-
-    def __bool__(self) -> bool:
-        return self.enc != 0
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.enc})"
-
-    def frobenius(self) -> "FieldElement":
-        return FieldElement(self.field.frobenius(self.enc), self.field)
-
-    def norm(self) -> "FieldElement":
-        return FieldElement(self.field.norm(self.enc), self.field)
-
-    def trace(self) -> "FieldElement":
-        return FieldElement(self.field.trace(self.enc), self.field)
-
-    @property
-    def in_subfield(self) -> bool:
-        return self.field.in_subfield(self.enc)
 
 
 @lru_cache(maxsize=None)

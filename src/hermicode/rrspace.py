@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import HermitianCurve, Point
+import numpy as np
+
+from .curve import Point
 from .gf import Field
 
 
@@ -33,25 +35,6 @@ def monomials(m: int) -> list[tuple[int, int]]:
 def _check_m(field: Field, m: int) -> None:
     if not 2 <= m <= field.q - 1:
         raise ValueError(f"m={m} out of range [2, {field.q - 1}] (m=1 gives only constants)")
-
-
-@dataclass(frozen=True)
-class DivisorG:
-    """m times the interior chord points; degree m(q-1)."""
-
-    field: Field
-    m: int
-
-    def __post_init__(self):
-        _check_m(self.field, self.m)
-
-    @property
-    def support(self) -> list[Point]:
-        return HermitianCurve(self.field).chord_points()[1:-1]
-
-    @property
-    def degree(self) -> int:
-        return self.m * (self.field.q - 1)
 
 
 @dataclass(frozen=True)
@@ -97,6 +80,13 @@ def basis(field: Field, m: int) -> list[RRFunction]:
     for ij in monomials(m):
         out.append(RRFunction(field, m, ((ij, 1),), 0))
     return out
+
+
+def powers(field: Field, m: int) -> np.ndarray:
+    """Exponent pairs (a_t, b_t), basis function t being x^a_t * y^b_t:
+    (0, 0) for the constant, then (i - m, j + 1) for y * x^i * y^j / x^m."""
+    _check_m(field, m)
+    return np.array([(0, 0)] + [(i - m, j + 1) for i, j in monomials(m)])
 
 
 def evaluate(f: RRFunction, point: Point) -> int:

@@ -8,19 +8,19 @@ run:
   Ground truth; guarded to message spaces of at most 2^26.
 
 * reduced -- weights are invariant under nonzero scalars and under the
-  coordinate shift, and the shift acts diagonally on messages (the
-  basis functions are eigenvectors of the orbit scaling).  Both
-  symmetries together translate the vector of discrete logs of the
-  nonzero message coordinates by a fixed subgroup L of (Z/(q^2-1))^s,
-  one subgroup per support pattern.  Orbits are exactly the cosets of
-  L, so enumerating one point per coset of L (a box transversal read
-  off an integer Hermite normal form) and weighting by |L| gives the
-  same counts with roughly (q^2-1)^2 fewer codeword scans.  No free
-  action is assumed: coset size is |L| by construction, fixed points
-  just live in supports where L collapses.  Where the orbits cannot be
-  read off the shift (it is not diagonal on messages, an eigenvalue is
-  0, or k is above the dimension limit) the exhaustive route runs
-  instead, and the enumerator's ``method`` says so.
+  coordinate shift, and the shift multiplies message coordinate t by
+  omega^e_t, e_t in the code's exponent set E (``code.exponents``,
+  checked when the code is built).  Both symmetries together translate
+  the vector of discrete logs of the nonzero message coordinates by a
+  fixed subgroup L of (Z/(q^2-1))^s, one subgroup per support pattern.
+  Orbits are exactly the cosets of L, so enumerating one point per
+  coset of L (a box transversal read off an integer Hermite normal
+  form) and weighting by |L| gives the same counts with roughly
+  (q^2-1)^2 fewer codeword scans.  No free action is assumed: coset
+  size is |L| by construction, fixed points just live in supports
+  where L collapses.  Where k is above the dimension limit the
+  exhaustive route runs instead, and the enumerator's ``method`` says
+  so.
 
 Both routes walk a product box, and one kernel counts every box: each
 coordinate has a table of its scaled generator rows (all Q scalars for
@@ -211,16 +211,14 @@ def _hnf_diagonal(rows: list[list[int]], s: int, modulus: int) -> list[int]:
 
 
 def _reduced_counts(code: LinearCode, jobs: int) -> np.ndarray | None:
-    """Counts from one box per support pattern, or None when the code's
-    orbits cannot be read off the shift eigenvalues."""
+    """Counts from one box per support pattern, or None when k is above
+    the dimension limit, where the orbit bookkeeping is too large."""
     field, gen = code.field, code.gen
     k, n = gen.shape
     big_n = field.order - 1
-    eigen = agcode.shift_diagonal(code)
-    if eigen is None or any(e == 0 for e in eigen) or k > _REDUCED_DIM_LIMIT:
-        # Orbit bookkeeping is impossible or too large for this code.
+    if k > _REDUCED_DIM_LIMIT:
         return None
-    shift_logs = [int(field.log_table[e]) for e in eigen]
+    shift_logs = code.exponents.tolist()
 
     supports: list[tuple[tuple[int, ...], list[int], int]] = []
     total_reps = 0
@@ -370,19 +368,11 @@ def orbit_zero_polynomial(code: LinearCode, msg) -> dict[int, int]:
     exactly the orbit x-coordinates where the message's function
     vanishes: substitute y = tau*x^(q+1), divide by x^m."""
     agcode.check_message(code, msg)
-    field, m, q = code.field, code.m, code.q
-    tau = code.spec.tau
-    poly: dict[int, int] = {}
-    eps = msg[0]
-    if eps != 0:
-        poly[0] = eps
-    for (i, j), coef in zip(rrspace.monomials(m), msg[1:]):
-        if coef == 0:
-            continue
-        e = q + 1 - m + i + j * (q + 1)
-        c = field.mul(coef, field.pow(tau, j + 1))
-        poly[e] = field.add(poly.get(e, 0), c)
-    return {e: c for e, c in poly.items() if c != 0}
+    field, tau = code.field, code.spec.tau
+    # x^a * y^b becomes tau^b * x^e; the exponents e_t are distinct and
+    # tau != 0, so no two terms merge and no nonzero term vanishes.
+    return {int(e): field.mul(coef, field.pow(tau, int(b)))
+            for coef, e, b in zip(msg, code.exponents, code.powers[:, 1]) if coef}
 
 
 def zero_count_via_roots(code: LinearCode, msg) -> int:
@@ -416,7 +406,13 @@ def roots_of_lacunary(field: Field, kind: str, *, a: int | None = None,
     * ``scaled``:  tau*b2*x^(q+1) + b1*x + b0 with b2 != 0
     * ``shifted``: b1*tau*x^(q-1) + 1 with b1 != 0 (q-1 roots exactly
       when b1*tau has norm 1, else none)
+
+    A coefficient outside [0, Q) raises ValueError.
     """
+    given = {"a": a, "b": b, "b0": b0, "b1": b1, "b2": b2, "tau": tau}
+    bad = {name: c for name, c in given.items() if c is not None and not 0 <= c < field.order}
+    if bad:
+        raise ValueError(f"coefficients {bad} outside [0, {field.order})")
     q = field.q
     if kind == "general":
         if a is None or b is None:

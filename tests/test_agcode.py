@@ -1,18 +1,16 @@
-"""Code construction: parameters, rank, encoding, cyclicity, the
-message-space shift matrix, and the export schema."""
+"""Code construction: parameters, rank, encoding, cyclicity, the shift
+exponents E (the shift scales message coordinate t by omega^e_t), the
+build-time checks, and the export schema."""
 
 import numpy as np
 import pytest
 
-from hermicode import linalg
+from hermicode import agcode, linalg
 from hermicode.agcode import (
     LinearCode,
     build_code,
     check_cyclic,
     encode,
-    shift,
-    shift_diagonal,
-    shift_message_matrix,
     _assert_full_rank,
 )
 from hermicode.curve import all_orbit_specs, canonical_orbit_spec, orbit_of
@@ -114,31 +112,49 @@ def test_all_ones_row_is_shift_closed():
 
 @pytest.mark.parametrize("q,m", GRID)
 def test_shift_of_codeword_is_codeword(q, m):
+    # Scaling message coordinate t by omega^e_t must encode, through the
+    # curve-built generator, to the cyclic shift of the word.
     f = field_for_q(q)
     code = build_code(f, m)
-    s_mat = shift_message_matrix(code)
     rng = np.random.default_rng(101)
     for _ in range(100):
         msg = [int(x) for x in rng.integers(0, f.order, code.k)]
         word = encode(code, msg)
-        shifted_msg = linalg.mat_vec(
-            f, [[s_mat[r][t] for r in range(code.k)] for t in range(code.k)], msg
-        )
-        assert encode(code, shifted_msg).symbols == shift(word.symbols)
-        assert encode(code, shifted_msg).weight == word.weight
+        shifted_msg = [f.mul(c, f.omega_pow(int(e))) for c, e in zip(msg, code.exponents)]
+        shifted = encode(code, shifted_msg)
+        assert shifted.symbols == word.symbols[1:] + word.symbols[:1]
+        assert shifted.weight == word.weight
 
 
 @pytest.mark.parametrize("q,m", GRID)
 def test_shift_matrix_is_diagonal_with_scaling_eigenvalues(q, m):
+    # The shift's matrix on messages is diag(omega^e_t) with E in closed
+    # form, on every orbit for q <= 5 and on the canonical one above.
     f = field_for_q(q)
-    code = build_code(f, m)
-    diag = shift_diagonal(code)
-    assert diag is not None
-    n = f.order - 1
-    expected = [1] + [
-        f.omega_pow((i + (q + 1) * (j + 1) - m) % n) for (i, j) in monomials(m)
-    ]
-    assert diag == expected
+    closed_form = [0] + [q + 1 - m + i + j * (q + 1) for i, j in monomials(m)]
+    specs = all_orbit_specs(f) if q <= 5 else [canonical_orbit_spec(f)]
+    for spec in specs:
+        code = build_code(f, m, spec)
+        assert code.exponents.tolist() == closed_form
+        for row, e in zip(code.gen.tolist(), closed_form):
+            assert row[1:] + row[:1] == [f.mul(f.omega_pow(e), x) for x in row]
+
+
+@pytest.mark.parametrize("tamper", ["reversed", "swapped"])
+def test_build_refuses_an_orbit_out_of_shift_order(monkeypatch, tamper):
+    # The rank check passes (the evaluation map stays injective); only
+    # the shift check sees that the points are not in omega order.
+    def tampered(spec):
+        points = orbit_of(spec)
+        if tamper == "reversed":
+            return points[::-1]
+        points[1], points[2] = points[2], points[1]
+        return points
+
+    monkeypatch.setattr(agcode, "orbit_of", tampered)
+    for q, m in [(3, 2), (4, 3), (5, 4)]:
+        with pytest.raises(RuntimeError, match="shift"):
+            build_code(field_for_q(q), m)
 
 
 def test_rank_deficiency_aborts():

@@ -4,7 +4,9 @@ import io
 import contextlib
 import json
 
-from hermicode import cli
+import pytest
+
+from hermicode import cli, verify
 
 
 def run_cli(argv):
@@ -100,6 +102,15 @@ def test_usage_errors_exit_2():
     assert run_cli(["build", "--q", "3", "--m", "5"])[0] == 2
     assert run_cli(["build", "--q", "6", "--m", "2"])[0] == 2  # unsupported q
     assert run_cli(["nonsense"])[0] == 2
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(q, m):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(verify, "code_for", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["build", "--q", "3", "--m", "2"])
 
 
 def test_size_guard_exit_3():

@@ -233,24 +233,6 @@ def test_norm_of_omega_q3():
     assert f.mul(two, two) == 1 and two != 1  # order 2 generator of the prime field units
 
 
-def test_element_wrapper_operators():
-    f = field_for_q(4)
-    a = f.element(7)
-    b = f.element(9)
-    assert (a + b).enc == f.add(7, 9)
-    assert (a * b).enc == f.mul(7, 9)
-    assert (a - b).enc == f.sub(7, 9)
-    assert (a / b).enc == f.div(7, 9)
-    assert (-a).enc == f.neg(7)
-    assert (a**3).enc == f.pow(7, 3)
-    assert a.frobenius().enc == f.frobenius(7)
-    assert a.norm().in_subfield and a.trace().in_subfield
-    assert a * 1 == a
-    assert f.element(0) + 1 == f.element(1)
-    with pytest.raises(ValueError):
-        f.element(99)
-
-
 def test_pow_edge_cases():
     f = field_for_q(3)
     assert f.pow(0, 0) == 1

@@ -5,7 +5,6 @@ import pytest
 from hermicode.curve import canonical_orbit_spec, orbit_of
 from hermicode.gf import field_for_q
 from hermicode.rrspace import (
-    DivisorG,
     RRFunction,
     basis,
     dimension,
@@ -51,16 +50,6 @@ def test_gcoeff_degree_checked():
     f = field_for_q(5)
     with pytest.raises(ValueError):
         RRFunction(f, 3, (((2, 0), 1),), 0)  # x^2 exceeds degree m - 2 = 1
-
-
-def test_divisor_degree_and_support():
-    for q in (3, 4, 5):
-        f = field_for_q(q)
-        for m in range(2, q):
-            g = DivisorG(f, m)
-            assert g.degree == m * (q - 1)
-            assert len(g.support) == q - 1
-            assert all(p[0] == 0 and p[2] == 1 and p[1] != 0 for p in g.support)
 
 
 def test_constant_function_evaluates_to_one():

@@ -11,7 +11,7 @@ import pytest
 
 from hermicode import agcode, weights
 from hermicode.agcode import encode
-from hermicode.curve import canonical_orbit_spec, orbit_of
+from hermicode.curve import all_orbit_specs, canonical_orbit_spec, orbit_of
 from hermicode.gf import field_for_q
 from hermicode.rrspace import evaluate, function_from_coeffs
 from hermicode.verify import code_for as _code
@@ -125,6 +125,24 @@ def test_reduced_equals_exhaustive(q, m):
     assert weight_enumerator(code, "reduced") == weight_enumerator(code, "exhaustive")
 
 
+def test_reduced_equals_exhaustive_on_every_orbit():
+    # The reduced route reads its shift logs off code.exponents, so every
+    # orbit is checked, not just the canonical one.
+    cases = 0
+    for q in (3, 4, 5, 7):
+        f = field_for_q(q)
+        for spec in all_orbit_specs(f):
+            for m in range(2, q):
+                code = agcode.build_code(f, m, spec)
+                if f.order**code.k > weights.EXHAUSTIVE_GUARD:
+                    continue
+                reduced = weight_enumerator(code, "reduced", jobs=1)
+                assert reduced.method == "reduced"
+                assert reduced == weight_enumerator(code, "exhaustive", jobs=1), (q, spec, m)
+                cases += 1
+    assert cases == 35
+
+
 def test_enumerator_bookkeeping():
     enum = weight_enumerator(_code(4, 3), "exhaustive")
     assert enum.total() == 16**4
@@ -147,13 +165,10 @@ def test_jobs_do_not_change_counts(monkeypatch):
                     assert weight_enumerator(code, method, jobs=jobs).counts == base
 
 
-@pytest.mark.parametrize("patch", ["no_diagonal", "dimension_limit"])
+@pytest.mark.parametrize("patch", ["dimension_limit"])
 def test_reduced_fallback_reports_the_route_that_ran(monkeypatch, patch):
     code = agcode.build_code(field_for_q(4), 3)
-    if patch == "no_diagonal":
-        monkeypatch.setattr(agcode, "shift_diagonal", lambda code: None)
-    else:
-        monkeypatch.setattr(weights, "_REDUCED_DIM_LIMIT", code.k - 1)
+    monkeypatch.setattr(weights, "_REDUCED_DIM_LIMIT", code.k - 1)
     enum = weight_enumerator(code, "reduced")
     assert enum.method == "exhaustive"
     assert enum.to_dict()["method"] == "exhaustive"
@@ -289,6 +304,24 @@ def test_root_count_rejects_symbols_outside_the_field(symbol):
     code = _code(3, 2)
     with pytest.raises(ValueError, match="outside"):
         zero_count_via_roots(code, [symbol, 0])
+
+
+LACUNARY_KINDS = {
+    "general": {"a": 1, "b": 1},
+    "scaled": {"b0": 1, "b1": 1, "b2": 1, "tau": 1},
+    "shifted": {"b1": 1, "tau": 1},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LACUNARY_KINDS))
+@pytest.mark.parametrize("value", [-1, 9])
+def test_lacunary_rejects_coefficients_outside_the_field(kind, value):
+    # Q = 9 at q = 3: -1 used to act as 8 and 9 raised a bare IndexError.
+    f = field_for_q(3)
+    for name in LACUNARY_KINDS[kind]:
+        coeffs = {**LACUNARY_KINDS[kind], name: value}
+        with pytest.raises(ValueError, match="outside"):
+            roots_of_lacunary(f, kind, **coeffs)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8])

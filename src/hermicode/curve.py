@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .gf import Field
 
 Point = tuple[int, int, int]
@@ -106,19 +108,14 @@ def canonical_orbit_spec(field: Field) -> OrbitSpec:
 
 
 def orbit_of(spec: OrbitSpec) -> list[Point]:
-    """The ordered orbit (Q_1, ..., Q_{q^2-1}) with Q_i the image of the
-    base point under scaling by omega^i.  Applying the omega scaling
-    maps Q_i to Q_{i+1}, indices cyclic."""
-    f = spec.field
-    base = (spec.u, spec.v, 1)
-    points = []
-    current = base
-    for _ in range(f.order - 1):
-        current = gamma_apply(f, f.omega, current)
-        points.append(current)
-    if points[-1] != base:
-        raise AssertionError("orbit did not close up")
-    return points
+    """The ordered orbit (Q_1, ..., Q_{q^2-1}), Q_i = (omega^i u, omega^(i(q+1)) v, 1)
+    the image of the base point under scaling by omega^i, as one exp-table
+    gather.  The omega scaling maps Q_i to Q_{i+1}, indices cyclic."""
+    f, n = spec.field, spec.field.order - 1
+    i = np.arange(1, n + 1)
+    xs = f.exp_table[(f.log_table[spec.u] + i) % n].tolist()
+    ys = f.exp_table[(f.log_table[spec.v] + i * (f.q + 1)) % n].tolist()
+    return [(x, y, 1) for x, y in zip(xs, ys)]
 
 
 def on_c_tau(field: Field, tau: int, point: Point) -> bool:

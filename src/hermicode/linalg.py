@@ -27,7 +27,7 @@ def row_reduce(field: Field, rows) -> tuple[list[list[int]], list[int]]:
     pivots: list[int] = []
     r = 0
     for c in range(mat.shape[1]):
-        if r == nrows:
+        if not mat[r:].any():  # no pivot is left below row r
             break
         live = np.flatnonzero(mat[r:, c])
         if live.size == 0:

@@ -26,10 +26,12 @@ Both routes walk a product box, and one kernel counts every box: each
 coordinate has a table of its scaled generator rows (all Q scalars for
 the exhaustive route, omega^0 .. omega^(diag_i - 1) for the reduced
 one), stored as uint8.  The tables split into two halves of balanced
-size, each half is folded once into its partial sums, and a word
-left + right has a zero wherever neg(left) == right.  Counting is
-chunked; chunk counts merge by integer addition, so results are
-identical for any chunking and any worker count.
+size, each folded once, symbol-major, into an (n, words) array of its
+partial sums; the left tables are negated first, so a word left + right
+has a zero wherever neg(left) == right.  Each chunk of left columns is
+one comparison summed over the symbol axis.  Workers take every jobs-th
+chunk, so jobs chunks are in flight; chunk counts merge by integer
+addition, so results are identical for any chunking and worker count.
 """
 
 from __future__ import annotations
@@ -113,26 +115,27 @@ def default_jobs() -> int:
 
 
 def _run_tasks(tasks, work, jobs: int, n: int) -> np.ndarray:
-    total = np.zeros(n + 1, dtype=np.int64)
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(work, tasks):
-                total += part
-    else:
-        for task in tasks:
-            total += work(task)
-    return total
+    """Sum of work(task) over the sliceable ``tasks``.  Worker j sums
+    every jobs-th task from j on, so only jobs tasks are in flight."""
+    def run(part) -> np.ndarray:
+        return sum((work(task) for task in part), np.zeros(n + 1, dtype=np.int64))
+
+    if jobs == 1 or len(tasks) < 2:
+        return run(tasks)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return sum(pool.map(run, [tasks[j::jobs] for j in range(jobs)]))
 
 
 # -- the product-box kernel --------------------------------------------
 
 
 def _fold(add: np.ndarray, tables: list[np.ndarray], n: int) -> np.ndarray:
-    """Every sum of one row from each table, as a (prod d_i, n) array; an
-    empty list folds to the single zero row."""
-    acc = np.zeros((1, n), dtype=np.uint8)
+    """Every sum of one row from each table, as the columns of a
+    C-contiguous (n, prod d_i) array; an empty list folds to one zero column."""
+    acc = np.zeros((n, 1), dtype=np.uint8)
     for table in tables:
-        acc = add[acc[:, None, :], table[None, :, :]].reshape(-1, n)
+        # Indexing with a transposed view would make the gather F-ordered.
+        acc = add[acc[:, :, None], np.ascontiguousarray(table.T)[:, None, :]].reshape(n, -1)
     return acc
 
 
@@ -141,26 +144,26 @@ def _box_counts(field: Field, factors: list[np.ndarray], jobs: int) -> np.ndarra
     with r_i a row of the d_i x n uint8 table ``factors[i]``.
 
     The split balances the two halves' sizes, the larger half on the
-    left, whose rows are the chunks.  A zero count is at most
-    n = Q - 1 < 256, so it is summed in uint8.
+    left, whose columns are the chunks.  Both halves fold symbol-major,
+    the left one from negated tables (negation is additive), so a chunk
+    is one comparison neg(left) == right summed over the symbol axis; a
+    zero count is at most n = Q - 1 < 256, so it is summed in uint8.
     """
     n = factors[0].shape[1]
     sizes = [table.shape[0] for table in factors]
     h = min(range(len(sizes) + 1),
             key=lambda h: (max(prod(sizes[:h]), prod(sizes[h:])), prod(sizes[h:])))
     add = field.add_table.astype(np.uint8)
-    neg_left = field.neg_table.astype(np.uint8)[_fold(add, factors[:h], n)]
+    neg_left = _fold(add, [field.neg_table[table] for table in factors[:h]], n)
     right = _fold(add, factors[h:], n)
-    chunk = max(1, _CHUNK_ELEMS // (right.shape[0] * n))
-    tasks = [(lo, min(lo + chunk, neg_left.shape[0])) for lo in range(0, neg_left.shape[0], chunk)]
+    chunk = max(1, _CHUNK_ELEMS // (right.shape[1] * n))
 
-    def work(task):
-        lo, hi = task
-        equal = neg_left[lo:hi, None, :] == right[None, :, :]
-        zeros = equal.view(np.uint8).sum(axis=2, dtype=np.uint8)
+    def work(lo):
+        equal = neg_left[:, lo:lo + chunk, None] == right[:, None, :]
+        zeros = equal.view(np.uint8).sum(axis=0, dtype=np.uint8)
         return np.bincount(zeros.ravel(), minlength=n + 1)[::-1]
 
-    return _run_tasks(tasks, work, jobs, n)
+    return _run_tasks(range(0, neg_left.shape[1], chunk), work, jobs, n)
 
 
 # -- exhaustive route ---------------------------------------------------

@@ -117,6 +117,22 @@ def test_orbit_structure(q):
         assert gamma_apply(f, f.omega, p) == orbit[(i + 1) % n]
 
 
+@pytest.mark.parametrize("q", ALL_Q)
+def test_orbit_equals_gamma_walk(q):
+    # orbit_of reads the orbit off the exp table; the oracle walks it by
+    # repeated omega scaling from the base point.
+    f = field_for_q(q)
+    specs = all_orbit_specs(f)
+    assert len(specs) == q
+    for spec in specs:
+        walk, current = [], (spec.u, spec.v, 1)
+        for _ in range(q * q - 1):
+            current = gamma_apply(f, f.omega, current)
+            walk.append(current)
+        assert orbit_of(spec) == walk
+        assert walk[-1] == (spec.u, spec.v, 1)
+
+
 @pytest.mark.parametrize("q", SMALL_Q)
 def test_gamma_is_orbit_bijection(q):
     f = field_for_q(q)

@@ -50,12 +50,26 @@ def _random_rows(field, rng):
     return rows
 
 
+def _deficient_stack(field, rng):
+    """Random rows stacked on combinations of themselves, as check_cyclic
+    stacks a generator on its shift: 2r rows of rank at most r, so rows
+    below the rank are all zero while columns remain."""
+    rank, ncols = int(rng.integers(1, 3)), int(rng.integers(3, 8))
+    rows = [[int(x) for x in rng.integers(0, field.order, ncols)] for _ in range(rank)]
+    for coefs in rng.integers(0, field.order, (rank, rank)):
+        combo = [0] * ncols
+        for c, prev in zip(coefs, rows[:rank]):
+            combo = [field.add(a, field.mul(int(c), b)) for a, b in zip(combo, prev)]
+        rows.append(combo)
+    return rows
+
+
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_row_reduce_matches_brute_force_span(q):
     f = field_for_q(q)
     rng = np.random.default_rng(900 + q)
-    for _ in range(40):
-        rows = _random_rows(f, rng)
+    for trial in range(60):
+        rows = _random_rows(f, rng) if trial < 40 else _deficient_stack(f, rng)
         span = _span(f, rows)
         rref, pivots = linalg.row_reduce(f, rows)
         r = len(pivots)

@@ -80,6 +80,32 @@ def test_box_kernel_matches_brute_force(q, sizes):
     assert np.array_equal(counts, _brute_box_counts(field, factors))
 
 
+# n = 1, 24 and 80 are the smallest symbol axis and the lengths at q = 5
+# and q = 9.  At n = 1 a 7-element budget makes 2-column chunks over 9
+# left columns, the last one partial.
+@pytest.mark.parametrize("q,n,sizes", [
+    (3, 1, (9, 1, 3)), (5, 24, (4, 3, 5, 2)), (9, 80, (3, 4, 2)), (9, 80, (6,)),
+])
+def test_box_kernel_random_differential(monkeypatch, q, n, sizes):
+    field = field_for_q(q)
+    rng = np.random.default_rng([77, q, n, *sizes])
+    factors = [rng.integers(0, field.order, (d, n)).astype(np.uint8) for d in sizes]
+    if n == 80:
+        # Row 0 of every table sums to the zero word, which has n zeros.
+        for table in factors[1:-1]:
+            table[0] = 0
+        factors[0][0] = field.neg_table[factors[-1][0]] if len(factors) > 1 else 0
+    expected = _brute_box_counts(field, factors)
+    assert expected[0] >= (n == 80)
+    add = field.add_table.astype(np.uint8)
+    folded = weights._fold(add, factors, n)
+    assert folded.shape == (n, int(np.prod(sizes))) and folded.flags["C_CONTIGUOUS"]
+    for chunk in (1, 7, weights._CHUNK_ELEMS):
+        monkeypatch.setattr(weights, "_CHUNK_ELEMS", chunk)
+        for jobs in (1, 2):
+            assert np.array_equal(weights._box_counts(field, factors, jobs), expected)
+
+
 def _encode_scan(code):
     """Independent oracle for both routes: encode every message."""
     counts: dict[int, int] = {}
@@ -152,7 +178,7 @@ def test_enumerator_bookkeeping():
 
 def test_jobs_do_not_change_counts(monkeypatch):
     # q = 4 has p = 2, q = 5 odd p.  A one-element chunk budget splits
-    # every box into one task per left row.
+    # every box into one task per left column.
     for q in (4, 5):
         code = agcode.build_code(field_for_q(q), 3)
         for method in ("exhaustive", "reduced"):

@@ -8,7 +8,6 @@ known facts about their parameters and weight distributions.
 
 from .gf import Field, field_for_q, make_field
 from .curve import HermitianCurve, OrbitSpec, canonical_orbit_spec
-from .rrspace import RRFunction, basis, evaluate
 from .agcode import LinearCode, build_code, check_cyclic, encode
 from .weights import (
     WeightEnumerator,
@@ -23,14 +22,11 @@ __all__ = [
     "HermitianCurve",
     "LinearCode",
     "OrbitSpec",
-    "RRFunction",
     "WeightEnumerator",
-    "basis",
     "build_code",
     "canonical_orbit_spec",
     "check_cyclic",
     "encode",
-    "evaluate",
     "field_for_q",
     "make_field",
     "min_distance",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, rrspace
-from .curve import OrbitSpec, Point, canonical_orbit_spec, orbit_of
+from .curve import OrbitSpec, canonical_orbit_spec, orbit_of
 from .gf import Field
 
 
@@ -39,13 +39,12 @@ class LinearCode:
     ``exponents`` the shift exponents e_t = a_t + (q+1) b_t.
     """
 
-    def __init__(self, field: Field, m: int, spec: OrbitSpec, gen: np.ndarray, points: list[Point]):
+    def __init__(self, field: Field, m: int, spec: OrbitSpec, gen: np.ndarray):
         self.field = field
         self.q = field.q
         self.m = m
         self.spec = spec
         self.gen = gen
-        self.points = points
         self.k, self.n = gen.shape
         self.powers = rrspace.powers(field, m)
         self.exponents = self.powers @ np.array([1, field.q + 1])
@@ -76,35 +75,31 @@ class LinearCode:
         }
 
 
-def _assert_full_rank(field: Field, rows, context: str) -> None:
-    r = linalg.rank(field, rows)
-    if r != len(rows):
-        raise RuntimeError(
-            f"{context}: generator rank {r} < {len(rows)}; evaluation map "
-            "should be injective for 2 <= m <= q-1"
-        )
-
-
 def build_code(field: Field, m: int, spec: OrbitSpec | None = None) -> LinearCode:
-    """Evaluate the basis over the ordered orbit, check injectivity, and
-    check that the shift scales row t by omega^e_t.
+    """Evaluate the basis over the ordered orbit, check that the shift
+    scales row t by omega^e_t, and check injectivity in closed form.
 
     Basis function t is x^a_t * y^b_t (``rrspace.powers``).  Every orbit
     point (u, v) has u, v != 0 (see OrbitSpec), so the whole matrix is
-    one exp-table gather at (a_t * log u + b_t * log v) mod (Q - 1).
+    one exp-table gather at (a_t * log u + b_t * log v) mod (Q - 1), and
+    no row is zero.  Once the shift check holds, row t is an eigenvector
+    of the shift with eigenvalue omega^e_t.  The shift's eigenspaces are
+    lines (n = Q - 1 is prime to p), so the rows are independent exactly
+    when E has k distinct residues mod Q - 1.
     """
     if spec is None:
         spec = canonical_orbit_spec(field)
-    points = orbit_of(spec)
-    logs = field.log_table[np.array(points)[:, :2]]
+    logs = field.log_table[np.array(orbit_of(spec))[:, :2]]
     powers = rrspace.powers(field, m)  # checks the range of m
     gen = field.exp_table[(powers @ logs.T) % (field.order - 1)].astype(np.int16)
-    code = LinearCode(field, m, spec, gen, points)
+    code = LinearCode(field, m, spec, gen)
     context = f"build_code(q={field.q}, m={m})"
-    _assert_full_rank(field, code.gen, context)
     scaled = field.mul_table[field.exp_table[code.exponents][:, None], code.gen]
     if not np.array_equal(np.roll(code.gen, -1, axis=1), scaled):
         raise RuntimeError(f"{context}: the shift does not scale row t by omega^e_t")
+    if len(set((code.exponents % (field.order - 1)).tolist())) != code.k:
+        raise RuntimeError(f"{context}: E repeats a residue mod {field.order - 1}, "
+                           "so the evaluation map is not injective")
     return code
 
 

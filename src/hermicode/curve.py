@@ -99,12 +99,7 @@ class OrbitSpec:
 
 def canonical_orbit_spec(field: Field) -> OrbitSpec:
     """Deterministic orbit choice: smallest u, then smallest v."""
-    for u in field.nonzero():
-        nu = field.norm(u)
-        for v in field.elements():
-            if field.trace(v) == nu:
-                return OrbitSpec(field, u, v)
-    raise AssertionError("curve has no affine point off the chord")  # unreachable
+    return all_orbit_specs(field)[0]
 
 
 def orbit_of(spec: OrbitSpec) -> list[Point]:
@@ -144,16 +139,10 @@ def imult_at_O(field: Field, tau: int) -> int:
 def all_orbit_specs(field: Field) -> list[OrbitSpec]:
     """One canonical spec per stabilizer orbit off the chord, ordered by
     smallest (u, v) member.  There are exactly q such orbits: the
-    q^3 - q off-chord points fall into free orbits of size q^2 - 1."""
-    curve = HermitianCurve(field)
-    seen: set[Point] = set()
-    specs: list[OrbitSpec] = []
-    for point in curve.enumerate_points():
-        u, v, x3 = point
-        if x3 == 0 or u == 0 or point in seen:
-            continue
-        spec = OrbitSpec(field, u, v)
-        members = orbit_of(spec)
-        seen.update(members)
-        specs.append(spec)
-    return specs
+    q^3 - q off-chord points fall into free orbits of size q^2 - 1.
+
+    The scaling by lambda moves u to lambda * u, so each orbit has exactly
+    one point with u = 1, its smallest (u, v) member; on the curve that
+    point has Tr(v) = N(1) = 1.
+    """
+    return [OrbitSpec(field, 1, v) for v in field.elements() if field.trace(v) == 1]

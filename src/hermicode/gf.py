@@ -217,9 +217,6 @@ class Field:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(self.inv_table[a])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e > 0:
@@ -238,12 +235,6 @@ class Field:
 
     def trace(self, a: int) -> int:
         return self.add(self.frobenius(a), a)
-
-    def omega_pow(self, i: int) -> int:
-        return int(self.exp_table[i % (self.order - 1)])
-
-    def in_subfield(self, a: int) -> bool:
-        return bool(self.subfield_mask[a])
 
     # -- element access ----------------------------------------------
     def elements(self) -> range:

@@ -14,13 +14,13 @@ run:
   the vector of discrete logs of the nonzero message coordinates by a
   fixed subgroup L of (Z/(q^2-1))^s, one subgroup per support pattern.
   Orbits are exactly the cosets of L, so enumerating one point per
-  coset of L (a box transversal read off an integer Hermite normal
-  form) and weighting by |L| gives the same counts with roughly
-  (q^2-1)^2 fewer codeword scans.  No free action is assumed: coset
-  size is |L| by construction, fixed points just live in supports
-  where L collapses.  Where k is above the dimension limit the
-  exhaustive route runs instead, and the enumerator's ``method`` says
-  so.
+  coset of L (a box whose sides are a gcd chain of the differences of
+  E on the support, the diagonal of L's Hermite normal form) and
+  weighting by |L| gives the same counts with roughly (q^2-1)^2 fewer
+  codeword scans.  No free action is assumed: coset size is |L| by
+  construction, fixed points just live in supports where L collapses.
+  Where k is above the dimension limit the exhaustive route runs
+  instead, and the enumerator's ``method`` says so.
 
 Both routes walk a product box, and one kernel counts every box: each
 coordinate has a table of its scaled generator rows (all Q scalars for
@@ -29,9 +29,10 @@ one), stored as uint8.  The tables split into two halves of balanced
 size, each folded once, symbol-major, into an (n, words) array of its
 partial sums; the left tables are negated first, so a word left + right
 has a zero wherever neg(left) == right.  Each chunk of left columns is
-one comparison summed over the symbol axis.  Workers take every jobs-th
-chunk, so jobs chunks are in flight; chunk counts merge by integer
-addition, so results are identical for any chunking and worker count.
+one comparison summed over the symbol axis.  With w = min(jobs, number
+of chunks) workers, worker j takes every w-th chunk, so w chunks are in
+flight; chunk counts merge by integer addition, so results are
+identical for any chunking and worker count.
 """
 
 from __future__ import annotations
@@ -39,14 +40,13 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 
 from . import agcode, rrspace
 from .agcode import Codeword, LinearCode, encode
 from .gf import Field
-from .rrspace import RRFunction
 
 EXHAUSTIVE_GUARD = 1 << 26
 AUTO_EXHAUSTIVE_LIMIT = 1 << 22
@@ -115,15 +115,17 @@ def default_jobs() -> int:
 
 
 def _run_tasks(tasks, work, jobs: int, n: int) -> np.ndarray:
-    """Sum of work(task) over the sliceable ``tasks``.  Worker j sums
-    every jobs-th task from j on, so only jobs tasks are in flight."""
+    """Sum of work(task) over the sliceable ``tasks``.  With w = min(jobs,
+    len(tasks)) workers, worker j sums every w-th task from j on, so only
+    w tasks are in flight and none is empty."""
     def run(part) -> np.ndarray:
         return sum((work(task) for task in part), np.zeros(n + 1, dtype=np.int64))
 
-    if jobs == 1 or len(tasks) < 2:
+    workers = min(jobs, len(tasks))
+    if workers < 2:
         return run(tasks)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(run, [tasks[j::jobs] for j in range(jobs)]))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(run, [tasks[j::workers] for j in range(workers)]))
 
 
 # -- the product-box kernel --------------------------------------------
@@ -184,32 +186,17 @@ def _exhaustive_counts(code: LinearCode, jobs: int) -> np.ndarray:
 # -- reduced route ------------------------------------------------------
 
 
-def _hnf_diagonal(rows: list[list[int]], s: int, modulus: int) -> list[int]:
-    """Diagonal of the row Hermite normal form of the lattice spanned by
-    ``rows`` together with modulus * e_i.  The box prod [0, diag_i) is a
-    transversal of the quotient, of size prod(diag)."""
-    mat = [list(r) for r in rows]
-    mat += [[modulus if i == j else 0 for j in range(s)] for i in range(s)]
-    diag: list[int] = []
-    top = 0
-    for col in range(s):
-        while True:
-            live = [i for i in range(top, len(mat)) if mat[i][col] != 0]
-            piv = min(live, key=lambda i: abs(mat[i][col]))
-            mat[top], mat[piv] = mat[piv], mat[top]
-            finished = True
-            for i in range(top + 1, len(mat)):
-                if mat[i][col]:
-                    f = mat[i][col] // mat[top][col]
-                    mat[i] = [a - f * b for a, b in zip(mat[i], mat[top])]
-                    if mat[i][col]:
-                        finished = False
-            if finished:
-                break
-        if mat[top][col] < 0:
-            mat[top] = [-a for a in mat[top]]
-        diag.append(mat[top][col])
-        top += 1
+def _transversal(logs: list[int], modulus: int) -> list[int]:
+    """Sides of a box transversal of (Z/N)^s, N = ``modulus``, modulo the
+    subgroup L spanned by (1, ..., 1) and ``logs``; the box has one point
+    per coset.  With w_j = logs[j] - logs[0], G_0 = N and
+    G_j = gcd(G_{j-1}, w_j), side 0 is 1 and side j is (N // G_{j-1}) * G_j:
+    the diagonal of the row Hermite normal form of L's lattice."""
+    diag, g = [1], modulus
+    for e in logs[1:]:
+        g_next = gcd(g, e - logs[0])
+        diag.append(modulus // g * g_next)
+        g = g_next
     return diag
 
 
@@ -227,10 +214,9 @@ def _reduced_counts(code: LinearCode, jobs: int) -> np.ndarray | None:
     total_reps = 0
     for mask in range(1, 1 << k):
         coords = tuple(t for t in range(k) if (mask >> t) & 1)
-        s = len(coords)
-        diag = _hnf_diagonal([[1] * s, [shift_logs[t] for t in coords]], s, big_n)
+        diag = _transversal([shift_logs[t] for t in coords], big_n)
         reps = prod(diag)
-        orbit_size, rem = divmod(big_n**s, reps)
+        orbit_size, rem = divmod(big_n**len(coords), reps)
         if rem:
             raise RuntimeError("transversal size does not divide the support class")
         total_reps += reps
@@ -301,14 +287,15 @@ def min_distance(code: LinearCode, method: str = "auto", jobs: int | None = None
 # -- distance upper-bound witness ----------------------------------------
 
 
-def upper_bound_witness(code: LinearCode) -> tuple[RRFunction, Codeword]:
-    """A function whose codeword has weight exactly n - (m-2)(q+1).
+def upper_bound_witness(code: LinearCode) -> tuple[list[int], Codeword]:
+    """A message and its codeword of weight exactly n - (m-2)(q+1).
 
-    g is a product of m - 2 factors (y - tau*c) over distinct nonzero
-    subfield elements c, and eps = 0.  Each factor vanishes on the q + 1
-    orbit points whose norm equals c, so the zero sets are disjoint and
-    the weight meets the distance upper bound.  For m = 2 the product is
-    empty: g = 1 gives a codeword of full weight q^2 - 1.
+    The message is the function y*g(y)/x^m with g a product of m - 2
+    factors (y - tau*c) over distinct nonzero subfield elements c, and
+    eps = 0.  Each factor vanishes on the q + 1 orbit points whose norm
+    equals c, so the zero sets are disjoint and the weight meets the
+    distance upper bound.  For m = 2 the product is empty: g = 1 gives a
+    codeword of full weight q^2 - 1.
     """
     field, m = code.field, code.m
     picks = [c for c in field.subfield_elements() if c != 0][: m - 2]
@@ -322,23 +309,18 @@ def upper_bound_witness(code: LinearCode) -> tuple[RRFunction, Codeword]:
             nxt[j + 1] = field.add(nxt[j + 1], old)
             nxt[j] = field.sub(nxt[j], field.mul(root, old))
         coeffs = nxt
-    gcoeffs = tuple((((0, j), c) for j, c in enumerate(coeffs) if c != 0))
-    func = RRFunction(field, m, gcoeffs, 0)
-    msg = _message_of(code, func)
+    # The coefficient of y^j in g multiplies basis function y * y^j / x^m.
+    mons = rrspace.monomials(m)
+    msg = [0] * code.k
+    for j, c in enumerate(coeffs):
+        msg[1 + mons.index((0, j))] = c
     word = encode(code, msg)
     expected = code.n - (m - 2) * (field.q + 1)
     if word.weight != expected:
         raise AssertionError(
             f"witness weight {word.weight} != {expected} at q={field.q}, m={m}"
         )
-    return func, word
-
-
-def _message_of(code: LinearCode, func: RRFunction) -> list[int]:
-    coords = [func.eps]
-    for ij in rrspace.monomials(code.m):
-        coords.append(func.gcoeff(*ij))
-    return coords
+    return msg, word
 
 
 def min_weight_characterization(code: LinearCode) -> list[tuple[int, ...]]:
@@ -423,7 +405,7 @@ def roots_of_lacunary(field: Field, kind: str, *, a: int | None = None,
         terms = {q + 1: 1}
         _add_term(field, terms, 1, a)
         _add_term(field, terms, 0, b)
-        roots = _scan_roots(field, terms, include_zero=True)
+        roots = _scan_roots(field, terms)
     elif kind == "scaled":
         if b0 is None or b1 is None or b2 is None or tau is None:
             raise ValueError("scaled form needs b0, b1, b2 and tau")
@@ -433,7 +415,7 @@ def roots_of_lacunary(field: Field, kind: str, *, a: int | None = None,
         terms = {q + 1: lead}
         _add_term(field, terms, 1, b1)
         _add_term(field, terms, 0, b0)
-        roots = _scan_roots(field, terms, include_zero=True)
+        roots = _scan_roots(field, terms)
     elif kind == "shifted":
         if b1 is None or tau is None:
             raise ValueError("shifted form needs b1 and tau")
@@ -441,7 +423,7 @@ def roots_of_lacunary(field: Field, kind: str, *, a: int | None = None,
         if lead == 0:
             raise ValueError("shifted form is degenerate: b1*tau = 0")
         terms = {q - 1: lead, 0: 1}
-        roots = _scan_roots(field, terms, include_zero=True)
+        roots = _scan_roots(field, terms)
     else:
         raise ValueError(f"unknown lacunary kind {kind!r}")
     return len(roots), roots
@@ -452,6 +434,5 @@ def _add_term(field: Field, terms: dict[int, int], e: int, c: int) -> None:
         terms[e] = field.add(terms.get(e, 0), c)
 
 
-def _scan_roots(field: Field, terms: dict[int, int], include_zero: bool) -> tuple[int, ...]:
-    roots = np.flatnonzero(_poly_values(field, terms) == 0)
-    return tuple(int(x) for x in roots if include_zero or x != 0)
+def _scan_roots(field: Field, terms: dict[int, int]) -> tuple[int, ...]:
+    return tuple(int(x) for x in np.flatnonzero(_poly_values(field, terms) == 0))

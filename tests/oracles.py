@@ -1,0 +1,56 @@
+"""Slow, independent oracles that the tests compare the library against:
+point-by-point evaluation of a function of the space (functions as
+coefficient vectors, as in ``hermicode.rrspace``) and the integer
+Hermite normal form whose diagonal the reduced route reads off a gcd
+chain."""
+
+from hermicode.rrspace import monomials
+
+
+def evaluate(field, m, coeffs, point):
+    """Value at an affine point with nonzero x coordinate of the function
+    f = (y*g(x, y) + eps*x^m) / x^m whose coordinates ``coeffs`` are eps
+    followed by the coefficients of g in monomial order."""
+    mons = monomials(m)
+    if len(coeffs) != len(mons) + 1:
+        raise ValueError(f"expected {len(mons) + 1} coordinates, got {len(coeffs)}")
+    u, v, x3 = point
+    if x3 != 1:
+        raise ValueError("evaluation needs an affine point")
+    if u == 0:
+        raise ValueError("x = 0 lies under the pole divisor")
+    g_val = 0
+    for (i, j), c in zip(mons, coeffs[1:]):
+        term = field.mul(c, field.mul(field.pow(u, i), field.pow(v, j)))
+        g_val = field.add(g_val, term)
+    numer = field.add(field.mul(v, g_val), field.mul(coeffs[0], field.pow(u, m)))
+    return field.mul(numer, field.inv(field.pow(u, m)))
+
+
+def hnf_diagonal(rows, s, modulus):
+    """Diagonal of the row Hermite normal form of the lattice spanned by
+    ``rows`` together with modulus * e_i.  The box prod [0, diag_i) is a
+    transversal of the quotient, of size prod(diag)."""
+    mat = [list(r) for r in rows]
+    mat += [[modulus if i == j else 0 for j in range(s)] for i in range(s)]
+    diag = []
+    top = 0
+    for col in range(s):
+        while True:
+            live = [i for i in range(top, len(mat)) if mat[i][col] != 0]
+            piv = min(live, key=lambda i: abs(mat[i][col]))
+            mat[top], mat[piv] = mat[piv], mat[top]
+            finished = True
+            for i in range(top + 1, len(mat)):
+                if mat[i][col]:
+                    f = mat[i][col] // mat[top][col]
+                    mat[i] = [a - f * b for a, b in zip(mat[i], mat[top])]
+                    if mat[i][col]:
+                        finished = False
+            if finished:
+                break
+        if mat[top][col] < 0:
+            mat[top] = [-a for a in mat[top]]
+        diag.append(mat[top][col])
+        top += 1
+    return diag

@@ -1,21 +1,17 @@
 """Code construction: parameters, rank, encoding, cyclicity, the shift
 exponents E (the shift scales message coordinate t by omega^e_t), the
-build-time checks, and the export schema."""
+build-time checks (shift order, and injectivity read off E), and the
+export schema."""
 
 import numpy as np
 import pytest
+from oracles import evaluate
 
-from hermicode import agcode, linalg
-from hermicode.agcode import (
-    LinearCode,
-    build_code,
-    check_cyclic,
-    encode,
-    _assert_full_rank,
-)
+from hermicode import agcode, linalg, rrspace
+from hermicode.agcode import LinearCode, build_code, check_cyclic, encode
 from hermicode.curve import all_orbit_specs, canonical_orbit_spec, orbit_of
 from hermicode.gf import field_for_q
-from hermicode.rrspace import basis, evaluate, monomials
+from hermicode.rrspace import monomials
 
 GRID = [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4), (7, 3), (8, 3)]
 
@@ -38,7 +34,8 @@ def test_full_dimension_grid():
 
 def test_columns_are_basis_evaluations():
     # Every orbit and every m for q <= 5, and the largest code (q=9, m=8,
-    # k=29) on the canonical orbit, entry by entry against evaluate().
+    # k=29) on the canonical orbit, entry by entry against the oracle
+    # evaluating each basis function (a unit coefficient vector).
     cases = [(q, spec, m) for q in (3, 4, 5) for spec in all_orbit_specs(field_for_q(q))
              for m in range(2, q)]
     cases.append((9, canonical_orbit_spec(field_for_q(9)), 8))
@@ -46,8 +43,8 @@ def test_columns_are_basis_evaluations():
         f = field_for_q(q)
         code = build_code(f, m, spec)
         points = orbit_of(spec)
-        assert points == code.points
-        expected = [[evaluate(fn, pt) for pt in points] for fn in basis(f, m)]
+        units = np.eye(code.k, dtype=int).tolist()
+        expected = [[evaluate(f, m, unit, pt) for pt in points] for unit in units]
         assert code.gen.dtype == np.int16
         assert code.gen.tolist() == expected, (q, spec.u, spec.v, m)
 
@@ -98,7 +95,7 @@ def test_swapped_columns_not_cyclic():
     code = build_code(f, 2)
     perturbed = code.gen.copy()
     perturbed[:, [0, 1]] = perturbed[:, [1, 0]]
-    fixture = LinearCode(f, 2, code.spec, perturbed, code.points)
+    fixture = LinearCode(f, 2, code.spec, perturbed)
     assert not check_cyclic(fixture)
 
 
@@ -106,7 +103,7 @@ def test_all_ones_row_is_shift_closed():
     f = field_for_q(3)
     code = build_code(f, 2)
     ones = np.ones((1, code.n), dtype=np.int16)
-    fixture = LinearCode(f, 2, code.spec, ones, code.points)
+    fixture = LinearCode(f, 2, code.spec, ones)
     assert check_cyclic(fixture)
 
 
@@ -120,7 +117,7 @@ def test_shift_of_codeword_is_codeword(q, m):
     for _ in range(100):
         msg = [int(x) for x in rng.integers(0, f.order, code.k)]
         word = encode(code, msg)
-        shifted_msg = [f.mul(c, f.omega_pow(int(e))) for c, e in zip(msg, code.exponents)]
+        shifted_msg = [f.mul(c, int(f.exp_table[e])) for c, e in zip(msg, code.exponents)]
         shifted = encode(code, shifted_msg)
         assert shifted.symbols == word.symbols[1:] + word.symbols[:1]
         assert shifted.weight == word.weight
@@ -137,13 +134,13 @@ def test_shift_matrix_is_diagonal_with_scaling_eigenvalues(q, m):
         code = build_code(f, m, spec)
         assert code.exponents.tolist() == closed_form
         for row, e in zip(code.gen.tolist(), closed_form):
-            assert row[1:] + row[:1] == [f.mul(f.omega_pow(e), x) for x in row]
+            assert row[1:] + row[:1] == [f.mul(int(f.exp_table[e]), x) for x in row]
 
 
 @pytest.mark.parametrize("tamper", ["reversed", "swapped"])
 def test_build_refuses_an_orbit_out_of_shift_order(monkeypatch, tamper):
-    # The rank check passes (the evaluation map stays injective); only
-    # the shift check sees that the points are not in omega order.
+    # E is unchanged, so the injectivity check passes; only the shift
+    # check sees that the points are not in omega order.
     def tampered(spec):
         points = orbit_of(spec)
         if tamper == "reversed":
@@ -157,11 +154,21 @@ def test_build_refuses_an_orbit_out_of_shift_order(monkeypatch, tamper):
             build_code(field_for_q(q), m)
 
 
-def test_rank_deficiency_aborts():
-    f = field_for_q(3)
-    rows = [[1, 2, 3], [1, 2, 3]]
-    with pytest.raises(RuntimeError):
-        _assert_full_rank(f, rows, "fixture")
+def test_rank_deficiency_aborts(monkeypatch):
+    # The last basis function is replaced by the constant, so two rows
+    # are all ones with one shift eigenvalue; the shift check still
+    # passes, and only the residue check on E refuses the code.
+    real_powers = rrspace.powers
+
+    def repeated(field, m):
+        pairs = real_powers(field, m)
+        pairs[-1] = pairs[0]
+        return pairs
+
+    monkeypatch.setattr(rrspace, "powers", repeated)
+    for q, m in [(3, 2), (4, 3), (5, 4), (9, 8)]:
+        with pytest.raises(RuntimeError, match="repeats a residue"):
+            build_code(field_for_q(q), m)
 
 
 def test_export_schema():

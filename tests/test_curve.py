@@ -59,7 +59,7 @@ def test_genus():
 def test_normalize_last_nonzero_coordinate():
     f = field_for_q(3)
     assert normalize(f, 0, 0, 5) == (0, 0, 1)
-    assert normalize(f, 2, 5, 0) == (f.div(2, 5), 1, 0)
+    assert normalize(f, 2, 5, 0) == (f.mul(2, f.inv(5)), 1, 0)
     assert normalize(f, 7, 0, 0) == (1, 0, 0)
     with pytest.raises(ValueError):
         normalize(f, 0, 0, 0)
@@ -191,20 +191,31 @@ def test_imult_matches_direct_substitution_q4():
     assert imult_at_O(f, tau) == 5
 
 
-@pytest.mark.parametrize("q", SMALL_Q)
+@pytest.mark.parametrize("q", ALL_Q)
 def test_orbit_partition_off_chord(q):
     # The q^3 - q affine points off the chord fall into free stabilizer
-    # orbits of size q^2 - 1, so there are exactly q of them.
+    # orbits of size q^2 - 1, so there are exactly q of them.  Each spec
+    # is its orbit's smallest (u, v) member, found by walking the orbit
+    # with gamma_apply, and the specs are in the order of those members.
     f = field_for_q(q)
     curve = HermitianCurve(f)
     specs = all_orbit_specs(f)
     assert len(specs) == q
     covered: set = set()
+    smallest = []
     for spec in specs:
         orbit = set(orbit_of(spec))
         assert len(orbit) == q * q - 1
         assert not (orbit & covered)
         covered |= orbit
+        walk, current = [], (spec.u, spec.v, 1)
+        for _ in range(q * q - 1):
+            current = gamma_apply(f, f.omega, current)
+            walk.append(current[:2])
+        assert (spec.u, spec.v) == min(walk)
+        smallest.append(min(walk))
+    assert smallest == sorted(smallest)
+    assert canonical_orbit_spec(f) == specs[0]
     off_chord = [p for p in curve.enumerate_points()
                  if p[2] == 1 and p[0] != 0]
     assert len(off_chord) == q**3 - q

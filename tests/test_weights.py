@@ -8,12 +8,13 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import evaluate, hnf_diagonal
 
 from hermicode import agcode, weights
 from hermicode.agcode import encode
 from hermicode.curve import all_orbit_specs, canonical_orbit_spec, orbit_of
 from hermicode.gf import field_for_q
-from hermicode.rrspace import evaluate, function_from_coeffs
+from hermicode.rrspace import monomials
 from hermicode.verify import code_for as _code
 from hermicode.weights import (
     SizeGuardError,
@@ -28,16 +29,15 @@ from hermicode.weights import (
 
 
 def _naive_enumerator(q, m):
-    """Independent oracle: iterate every coefficient vector, build the
-    function itself, and evaluate it point by point."""
+    """Independent oracle: iterate every coefficient vector and evaluate
+    its function point by point."""
     f = field_for_q(q)
     spec = canonical_orbit_spec(f)
     points = orbit_of(spec)
     k = m * (m - 1) // 2 + 1
     counts: dict[int, int] = {}
     for coords in itertools.product(f.elements(), repeat=k):
-        fn = function_from_coeffs(f, m, list(coords))
-        weight = sum(1 for p in points if evaluate(fn, p) != 0)
+        weight = sum(1 for p in points if evaluate(f, m, coords, p) != 0)
         counts[weight] = counts.get(weight, 0) + 1
     return counts
 
@@ -169,6 +169,59 @@ def test_reduced_equals_exhaustive_on_every_orbit():
     assert cases == 35
 
 
+def test_transversal_matches_hnf_diagonal():
+    # Seeded random log vectors against the integer Hermite normal form
+    # of the lattice spanned by (1, ..., 1), the logs and N * e_i.  Every
+    # fifth vector is collapsed (all logs equal), where L is the diagonal
+    # alone and the box is [1, N, ..., N].
+    rng = np.random.default_rng(7001)
+    for big_n in (8, 15, 24, 48, 63, 80):
+        for trial in range(100):
+            s = int(rng.integers(1, 9))
+            logs = [int(x) for x in rng.integers(-big_n, 2 * big_n, s)]
+            if trial % 5 == 0:
+                logs = [logs[0]] * s
+                assert weights._transversal(logs, big_n) == [1] + [big_n] * (s - 1)
+            expected = hnf_diagonal([[1] * s, logs], s, big_n)
+            assert weights._transversal(logs, big_n) == expected, (big_n, logs)
+
+
+def test_workers_are_capped_at_the_chunk_count(monkeypatch):
+    # A recording stand-in for the thread pool runs every partition in
+    # this thread; jobs = 1000 is far above any chunk count here.
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers, self.parts = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, parts):
+            self.parts = list(parts)
+            return [fn(part) for part in self.parts]
+
+    code = agcode.build_code(field_for_q(4), 3)
+    methods = ("exhaustive", "reduced")
+    base = {method: weight_enumerator(code, method, jobs=1).counts for method in methods}
+    monkeypatch.setattr(weights, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(weights, "_CHUNK_ELEMS", 1)
+    for method in methods:
+        code._enum_cache.clear()
+        assert weight_enumerator(code, method, jobs=1000).counts == base[method]
+    assert pools
+    for pool in pools:
+        chunks = sum(len(part) for part in pool.parts)
+        assert 2 <= pool.max_workers <= chunks
+        assert len(pool.parts) == pool.max_workers
+        assert all(len(part) > 0 for part in pool.parts)
+
+
 def test_enumerator_bookkeeping():
     enum = weight_enumerator(_code(4, 3), "exhaustive")
     assert enum.total() == 16**4
@@ -229,23 +282,28 @@ def test_min_distance(q, m, expected_d):
 @pytest.mark.parametrize("q,m", [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4), (7, 3), (8, 3)])
 def test_upper_bound_witness(q, m):
     code = _code(q, m)
-    fn, word = upper_bound_witness(code)
+    msg, word = upper_bound_witness(code)
+    assert word == encode(code, msg)
     assert word.weight == q * q - 1 - (m - 2) * (q + 1)
-    assert fn.eps == 0
-    # the witness factors are distinct scalings of subfield units
+    # The message is y*g(y)/x^m: eps = 0, and g is a monic polynomial in
+    # y alone of degree m - 2 whose roots are tau times distinct nonzero
+    # subfield elements.
     f = code.field
-    if m > 2:
-        roots = set()
-        for x in f.elements():
-            acc = 0
-            for (i, j), c in fn.gcoeffs:
-                assert i == 0
-                acc = f.add(acc, f.mul(c, f.pow(x, j)))
-            if acc == 0:
-                roots.add(x)
-        assert len(roots) == m - 2
-        for r in roots:
-            assert f.in_subfield(f.div(r, code.spec.tau))
+    assert msg[0] == 0
+    g = dict(zip(monomials(m), msg[1:]))
+    assert all(c == 0 for (i, _), c in g.items() if i)
+    assert g[(0, m - 2)] == 1
+    roots = set()
+    for x in f.elements():
+        acc = 0
+        for j in range(m - 1):
+            acc = f.add(acc, f.mul(g[(0, j)], f.pow(x, j)))
+        if acc == 0:
+            roots.add(x)
+    assert len(roots) == m - 2
+    for r in roots:
+        c = f.mul(r, f.inv(code.spec.tau))
+        assert c != 0 and f.subfield_mask[c]
 
 
 def test_cubic_code_distributions():
@@ -313,9 +371,7 @@ def test_root_scans_match_brute_force(q):
         terms = {int(e): int(rng.integers(0, f.order)) for e in exps}
         if trial % 3 == 1:
             terms[0] = int(rng.integers(1, f.order))
-        for include_zero in (True, False):
-            assert weights._scan_roots(f, terms, include_zero) == \
-                _brute_roots(f, terms, 0 if include_zero else 1)
+        assert weights._scan_roots(f, terms) == _brute_roots(f, terms, 0)
     for m in range(2, min(q, 5)):
         code = _code(q, m)
         msgs = [[0] * code.k, [1] + [0] * (code.k - 1)]
@@ -376,8 +432,8 @@ def test_lacunary_scaled_full_root_criterion(q):
         for b1 in f.elements():
             for b0 in f.elements():
                 count, _ = roots_of_lacunary(f, "scaled", b0=b0, b1=b1, b2=b2, tau=tau)
-                ratio = f.div(b0, f.mul(tau, b2))
-                full = b1 == 0 and ratio != 0 and f.in_subfield(ratio)
+                ratio = f.mul(b0, f.inv(f.mul(tau, b2)))
+                full = b1 == 0 and ratio != 0 and f.subfield_mask[ratio]
                 assert (count == q + 1) == full
 
 

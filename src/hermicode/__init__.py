@@ -11,7 +11,6 @@ from .curve import HermitianCurve, OrbitSpec, canonical_orbit_spec
 from .agcode import LinearCode, build_code, check_cyclic, encode
 from .weights import (
     WeightEnumerator,
-    min_distance,
     roots_of_lacunary,
     upper_bound_witness,
     weight_enumerator,
@@ -29,7 +28,6 @@ __all__ = [
     "encode",
     "field_for_q",
     "make_field",
-    "min_distance",
     "roots_of_lacunary",
     "upper_bound_witness",
     "weight_enumerator",

@@ -35,7 +35,6 @@ class HermitianCurve:
     def __init__(self, field: Field):
         self.field = field
         self.q = field.q
-        self.genus = field.q * (field.q - 1) // 2
         self.origin: Point = (0, 0, 1)
         self.infinity: Point = (0, 1, 0)
 
@@ -119,21 +118,6 @@ def on_c_tau(field: Field, tau: int, point: Point) -> bool:
         raise ValueError("tau must be nonzero")
     x1, x2, x3 = point
     return field.mul(x2, field.pow(x3, field.q)) == field.mul(tau, field.pow(x1, field.q + 1))
-
-
-def imult_at_O(field: Field, tau: int) -> int:
-    """Intersection multiplicity of the two curves at the origin,
-    computed by substituting y = tau*x^(q+1) into y^q + y - x^(q+1) and
-    reading off the lowest exponent with a nonzero coefficient."""
-    if tau == 0:
-        raise ValueError("tau must be nonzero")
-    q = field.q
-    substituted = {
-        q + 1: field.sub(tau, 1),
-        q * (q + 1): field.pow(tau, q),
-    }
-    exponents = [e for e, c in substituted.items() if c != 0]
-    return min(exponents)
 
 
 def all_orbit_specs(field: Field) -> list[OrbitSpec]:

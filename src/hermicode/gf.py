@@ -7,14 +7,15 @@ Encoding 0 is the zero element and encoding 1 the multiplicative
 identity.  The subfield F_q never gets a second representation; it is
 the fixed field of the Frobenius map x -> x^q.
 
-The irreducible is the lexicographically smallest monic one (low
-coefficients compared as a base-p integer) and omega is the smallest
-encoding with multiplicative order exactly q^2 - 1, so encodings, point
-orderings and generator matrices are reproducible across runs.
-
-All element-wise operations route through full add/mul tables built at
-construction time (fields here have at most 81 elements), which lets
-the enumeration code work on flat numpy integer arrays.
+The field is its tables, built once by one product rule on the base-p
+digits of all encodings.  F_p[x]/(f) is a field exactly when f is
+irreducible, that is when it has no zero divisors (Lidl & Niederreiter,
+Finite Fields, ch. 1), so f is the first monic candidate, low
+coefficients read as a base-p integer, whose product table has no zero
+off row and column 0.  omega is the smallest element whose powers first
+return to 1 at q^2 - 1.  Both choices are fixed, so encodings, point
+orderings and generator matrices are reproducible across runs, and the
+enumeration code works on flat numpy integer arrays.
 """
 
 from __future__ import annotations
@@ -42,62 +43,30 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _digits(value: int, length: int, p: int) -> list[int]:
-    out = []
-    for _ in range(length):
-        out.append(value % p)
-        value //= p
-    return out
+def _product_table(digits: np.ndarray, low: np.ndarray, p: int) -> np.ndarray:
+    """Products of every pair of encodings in F_p[x]/(f), f = x^deg +
+    sum low_i x^i, from the (Q, deg) base-p ``digits`` of the encodings.
 
-
-def _poly_trim(poly: list[int]) -> list[int]:
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return poly
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    # b monic; returns a mod b.
-    a = a[:]
-    inv_lead = pow(b[-1], p - 2, p) if b[-1] != 1 else 1
-    while len(a) >= len(b) and _poly_trim(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        coef = (a[-1] * inv_lead) % p
-        shift = len(a) - len(b)
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * bi) % p
-        a = _poly_trim(a)
-    return a
-
-
-def _monic_polys(degree: int, p: int):
-    for low in range(p**degree):
-        yield _digits(low, degree, p) + [1]
-
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    # No monic factor of degree up to deg/2 means irreducible.
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for g in _monic_polys(d, p):
-            if not _poly_rem(poly, g, p):
-                return False
-    return True
+    Row i of the stack holds x^i * b for every b: multiplying by x moves
+    the digits up one place, and the carry c * x^deg that falls out is
+    reduced by x^deg = -sum low_i x^i.  a * b is then the sum over i of
+    a_i * (x^i * b), read back as an encoding.
+    """
+    shifts = [digits]
+    for _ in range(digits.shape[1] - 1):
+        prev = shifts[-1]
+        carry = prev[:, -1:]
+        shifts.append((np.pad(prev[:, :-1], ((0, 0), (1, 0))) - carry * low) % p)
+    products = np.tensordot(digits, np.stack(shifts), axes=1) % p
+    return products @ p ** np.arange(digits.shape[1])
 
 
 class Field:
     """The field F_{q^2} with q = p^k, plus its norm/trace structure.
+
+    All tables are built at construction.  A candidate f with a root in
+    F_p is skipped before its product table is built, and omega is found
+    by walking the powers of every element through the table together.
 
     Operations take and return plain integer encodings in [0, Q) and do
     not check that range; callers that take symbols from outside do.
@@ -114,87 +83,47 @@ class Field:
             raise ValueError(f"q={q} is below the minimum of 3")
         if order > _MAX_ORDER:
             raise ValueError(f"q^2={order} exceeds the table limit {_MAX_ORDER}")
-        self.p = p
-        self.k = k
-        self.q = q
-        self.order = order
-        self.irreducible = self._find_irreducible()
+        self.p, self.k, self.q, self.order = p, k, q, order
         self._build_tables()
 
-    def _find_irreducible(self) -> tuple[int, ...]:
-        deg = 2 * self.k
-        for poly in _monic_polys(deg, self.p):
-            if _is_irreducible(poly, self.p):
-                return tuple(poly)
-        raise AssertionError("no irreducible polynomial found")  # unreachable
-
-    # -- raw polynomial-basis products, used only while building tables
-    def _raw_mul(self, a: int, b: int) -> int:
-        p, deg = self.p, 2 * self.k
-        prod = _poly_mul(_digits(a, deg, p), _digits(b, deg, p), p)
-        rem = _poly_rem(prod, list(self.irreducible), p)
-        return sum(c * p**i for i, c in enumerate(rem))
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self._raw_mul(out, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return out
-
-    def _find_omega(self) -> int:
-        n = self.order - 1
-        factors, m, d = set(), n, 2
-        while d * d <= m:
-            while m % d == 0:
-                factors.add(d)
-                m //= d
-            d += 1
-        if m > 1:
-            factors.add(m)
-        for cand in range(2, self.order):
-            if all(self._raw_pow(cand, n // r) != 1 for r in factors):
-                return cand
-        raise AssertionError("multiplicative group has no generator")  # unreachable
-
     def _build_tables(self) -> None:
-        p, order = self.p, self.order
+        p, order, deg = self.p, self.order, 2 * self.k
         n = order - 1
-        self.omega = self._find_omega()
+        weights = p ** np.arange(deg)
+        digits = np.arange(order)[:, None] // weights % p
+        # Candidates in encoding order of their low coefficients.  A root in
+        # F_p is a linear factor, found without building the table.
+        vander = np.vander(np.arange(p), deg + 1, increasing=True)
+        for low in digits:
+            if (vander @ np.append(low, 1) % p == 0).any():
+                continue
+            mul = _product_table(digits, low, p)
+            if (mul[1:, 1:] != 0).all():
+                break
+        self.irreducible = tuple(int(c) for c in low) + (1,)
+        self.mul_table = mul.astype(np.int16)
 
-        exp = np.zeros(n, dtype=np.int64)
+        # powers[i, c] = c^i for i in 0..n; omega's column is its walk.
+        elements = np.arange(order)
+        powers = np.ones((order, order), dtype=np.int64)
+        for i in range(1, order):
+            powers[i] = mul[powers[i - 1], elements]
+        full_order = (powers[n] == 1) & (powers[1:n] != 1).all(axis=0)
+        self.omega = int(np.argmax(full_order))
+        exp = powers[:n, self.omega].copy()
         log = np.full(order, -1, dtype=np.int64)
-        acc = 1
-        for i in range(n):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._raw_mul(acc, self.omega)
-        if acc != 1:
-            raise AssertionError("omega does not have full order")
+        log[exp] = np.arange(n)
         self.exp_table = exp
         self.log_table = log
 
         # Addition is digit-wise mod p in the polynomial basis.
-        digits = np.array([_digits(v, 2 * self.k, p) for v in range(order)], dtype=np.int64)
-        weights = p ** np.arange(2 * self.k, dtype=np.int64)
         sums = (digits[:, None, :] + digits[None, :, :]) % p
         self.add_table = (sums * weights).sum(axis=2).astype(np.int16)
-
-        mul = np.zeros((order, order), dtype=np.int16)
-        nz = np.arange(1, order)
-        mul[1:, 1:] = exp[(log[nz][:, None] + log[nz][None, :]) % n]
-        self.mul_table = mul
-
         self.neg_table = ((digits * (p - 1)) % p * weights).sum(axis=1).astype(np.int16)
-        inv = np.zeros(order, dtype=np.int16)
-        inv[1:] = exp[(-log[nz]) % n]
-        self.inv_table = inv
 
-        pow_q = np.zeros(order, dtype=np.int16)
-        pow_q[1:] = exp[(log[nz] * self.q) % n]
-        self.frobenius_table = pow_q
+        # c^(n-1) is the inverse of c != 0, and 0 maps to 0 in both rows.
+        self.inv_table = powers[n - 1].astype(np.int16)
+        self.frobenius_table = powers[self.q].astype(np.int16)
         self.subfield_mask = self.frobenius_table == np.arange(order, dtype=np.int16)
         if int(self.subfield_mask.sum()) != self.q:
             raise AssertionError("Frobenius fixed field has the wrong size")

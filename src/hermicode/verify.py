@@ -89,7 +89,7 @@ def checked_enumerator(code: agcode.LinearCode, jobs: int | None = None) -> weig
 # -- orbit containment ----------------------------------------------------
 
 
-def check_orbit_containment(q: int, tau: int | None = None, jobs: int | None = None) -> ClaimReport:
+def check_orbit_containment(q: int, tau: int | None = None) -> ClaimReport:
     """Every point of every stabilizer orbit lies on the Hermitian curve
     and on the companion curve for that orbit's tau (or a supplied tau,
     which the perturbation tests use)."""
@@ -116,7 +116,7 @@ def check_orbit_containment(q: int, tau: int | None = None, jobs: int | None = N
 # -- code parameters -------------------------------------------------------
 
 
-def check_code_parameters(q: int, m: int, jobs: int | None = None) -> ClaimReport:
+def check_code_parameters(q: int, m: int) -> ClaimReport:
     code = code_for(q, m)
     expected = {"n": q * q - 1, "k": m * (m - 1) // 2 + 1, "cyclic": True}
     observed = {"n": code.n, "k": code.k, "cyclic": agcode.check_cyclic(code)}
@@ -305,9 +305,9 @@ def check_orbit_choice_enumerators(q: int, jobs: int | None = None) -> ClaimRepo
 def run_suite(qs=SUITE_QS, jobs: int | None = None) -> list[ClaimReport]:
     claims: list[ClaimReport] = []
     for q in qs:
-        claims.append(check_orbit_containment(q, jobs=jobs))
+        claims.append(check_orbit_containment(q))
         for m in range(2, q):
-            claims.append(check_code_parameters(q, m, jobs=jobs))
+            claims.append(check_code_parameters(q, m))
             if (q, m) in ENUMERABLE:
                 claims.append(check_distance_bounds(q, m, jobs=jobs))
         claims.append(check_two_weight(q, jobs=jobs))
@@ -324,7 +324,7 @@ def checks_for(q: int, m: int | None, jobs: int | None = None) -> list[ClaimRepo
     """The claims touching one (q, m); with m omitted, everything for q."""
     if m is None:
         return run_suite((q,), jobs=jobs)
-    claims = [check_orbit_containment(q, jobs=jobs), check_code_parameters(q, m, jobs=jobs)]
+    claims = [check_orbit_containment(q), check_code_parameters(q, m)]
     if (q, m) in ENUMERABLE:
         claims.append(check_distance_bounds(q, m, jobs=jobs))
     if m == 2:

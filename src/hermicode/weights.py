@@ -19,8 +19,6 @@ run:
   weighting by |L| gives the same counts with roughly (q^2-1)^2 fewer
   codeword scans.  No free action is assumed: coset size is |L| by
   construction, fixed points just live in supports where L collapses.
-  Where k is above the dimension limit the exhaustive route runs
-  instead, and the enumerator's ``method`` says so.
 
 Both routes walk a product box, and one kernel counts every box: each
 coordinate has a table of its scaled generator rows (all Q scalars for
@@ -50,7 +48,6 @@ from .gf import Field
 
 EXHAUSTIVE_GUARD = 1 << 26
 AUTO_EXHAUSTIVE_LIMIT = 1 << 22
-_REDUCED_DIM_LIMIT = 12
 _REDUCED_REPS_GUARD = 1 << 27
 _CHUNK_ELEMS = 1 << 22
 
@@ -200,14 +197,11 @@ def _transversal(logs: list[int], modulus: int) -> list[int]:
     return diag
 
 
-def _reduced_counts(code: LinearCode, jobs: int) -> np.ndarray | None:
-    """Counts from one box per support pattern, or None when k is above
-    the dimension limit, where the orbit bookkeeping is too large."""
+def _reduced_counts(code: LinearCode, jobs: int) -> np.ndarray:
+    """Counts from one box per support pattern."""
     field, gen = code.field, code.gen
     k, n = gen.shape
     big_n = field.order - 1
-    if k > _REDUCED_DIM_LIMIT:
-        return None
     shift_logs = code.exponents.tolist()
 
     supports: list[tuple[tuple[int, ...], list[int], int]] = []
@@ -261,27 +255,16 @@ def weight_enumerator(code: LinearCode, method: str = "auto", jobs: int | None =
         return cached
     jobs = default_jobs() if jobs is None else max(1, jobs)
     start = time.perf_counter()
-    route, raw = resolved, None
-    if resolved == "reduced":
-        raw = _reduced_counts(code, jobs)
-    if raw is None:
-        # The exhaustive route, with its own guard, is the fallback; the
-        # enumerator is labelled with the route that ran.
-        route, raw = "exhaustive", _exhaustive_counts(code, jobs)
+    raw = (_reduced_counts if resolved == "reduced" else _exhaustive_counts)(code, jobs)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     counts = {w: int(c) for w, c in enumerate(raw) if c}
-    enum = WeightEnumerator(code.q, code.m, code.n, code.k, counts, route, elapsed_ms)
+    enum = WeightEnumerator(code.q, code.m, code.n, code.k, counts, resolved, elapsed_ms)
     if enum.total() != code.field.order**code.k:
         raise RuntimeError("enumerator total does not match the message space")
     if enum.count(0) != 1:
         raise RuntimeError("enumerator must see exactly one zero codeword")
     code._enum_cache[resolved] = enum
     return enum
-
-
-def min_distance(code: LinearCode, method: str = "auto", jobs: int | None = None) -> int:
-    """Smallest positive weight, from the (cached) enumerator."""
-    return weight_enumerator(code, method, jobs).min_distance
 
 
 # -- distance upper-bound witness ----------------------------------------
@@ -370,11 +353,14 @@ def zero_count_via_roots(code: LinearCode, msg) -> int:
 def _poly_values(field: Field, terms: dict[int, int]) -> np.ndarray:
     """Values of sum c * x^e (e >= 0) at every x in F_Q, indexed by the
     encoding of x; at x = 0, x^0 = 1 and x^e = 0 for e > 0."""
-    x_logs = field.log_table[1:]
+    exps = np.fromiter(terms, dtype=np.int64, count=len(terms))
+    coefs = np.fromiter(terms.values(), dtype=np.int64, count=len(terms))
+    powers = np.empty((len(terms), field.order), dtype=np.int64)
+    powers[:, 0] = exps == 0
+    powers[:, 1:] = field.exp_table[np.outer(exps, field.log_table[1:]) % (field.order - 1)]
     acc = np.zeros(field.order, dtype=np.int64)
-    for e, c in terms.items():
-        power = np.concatenate([[int(e == 0)], field.exp_table[(x_logs * e) % (field.order - 1)]])
-        acc = field.add_table[acc, field.mul_table[c, power]]
+    for row in field.mul_table[coefs[:, None], powers]:
+        acc = field.add_table[acc, row]
     return acc
 
 

@@ -1,8 +1,8 @@
 """Slow, independent oracles that the tests compare the library against:
 point-by-point evaluation of a function of the space (functions as
-coefficient vectors, as in ``hermicode.rrspace``) and the integer
-Hermite normal form whose diagonal the reduced route reads off a gcd
-chain."""
+coefficient vectors, as in ``hermicode.rrspace``), the intersection
+multiplicity of the two curves at the origin, and the integer Hermite
+normal form whose diagonal the reduced route reads off a gcd chain."""
 
 from hermicode.rrspace import monomials
 
@@ -25,6 +25,21 @@ def evaluate(field, m, coeffs, point):
         g_val = field.add(g_val, term)
     numer = field.add(field.mul(v, g_val), field.mul(coeffs[0], field.pow(u, m)))
     return field.mul(numer, field.inv(field.pow(u, m)))
+
+
+def imult_at_O(field, tau):
+    """Intersection multiplicity of the two curves at the origin,
+    computed by substituting y = tau*x^(q+1) into y^q + y - x^(q+1) and
+    reading off the lowest exponent with a nonzero coefficient."""
+    if tau == 0:
+        raise ValueError("tau must be nonzero")
+    q = field.q
+    substituted = {
+        q + 1: field.sub(tau, 1),
+        q * (q + 1): field.pow(tau, q),
+    }
+    exponents = [e for e, c in substituted.items() if c != 0]
+    return min(exponents)
 
 
 def hnf_diagonal(rows, s, modulus):

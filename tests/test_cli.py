@@ -119,6 +119,16 @@ def test_size_guard_exit_3():
     assert "guard" in err
 
 
+@pytest.mark.parametrize("method", ["reduced", "auto"])
+def test_reduced_route_refuses_large_codes_with_its_own_guard(method):
+    # k = 16 at q = 7, m = 6: the representatives guard refuses the code,
+    # and no exhaustive fallback runs into the message-space guard.
+    rc, _, err = run_cli(["weights", "--q", "7", "--m", "6", "--method", method])
+    assert rc == 3
+    assert "representatives" in err
+    assert "use the reduced method" not in err
+
+
 def test_out_writes_file(tmp_path):
     target = tmp_path / "gen.json"
     rc, out, _ = run_cli(["build", "--q", "3", "--m", "2", "--out", str(target)])

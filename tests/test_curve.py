@@ -2,6 +2,7 @@
 intersection bookkeeping."""
 
 import pytest
+from oracles import imult_at_O
 
 from hermicode.curve import (
     HermitianCurve,
@@ -9,7 +10,6 @@ from hermicode.curve import (
     all_orbit_specs,
     canonical_orbit_spec,
     gamma_apply,
-    imult_at_O,
     normalize,
     on_c_tau,
     orbit_of,
@@ -49,11 +49,6 @@ def test_chord_points(q):
         assert (x1, x3) == (0, 1) and b != 0
         assert f.pow(b, q) == f.neg(b)  # b^q = -b
     assert interior == sorted(interior)
-
-
-def test_genus():
-    for q in ALL_Q:
-        assert HermitianCurve(field_for_q(q)).genus == q * (q - 1) // 2
 
 
 def test_normalize_last_nonzero_coordinate():

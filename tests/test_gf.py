@@ -106,20 +106,31 @@ def test_make_field_rejects_bad_parameters():
 
 
 def test_make_field_refuses_alphabets_the_tables_cannot_hold(monkeypatch):
-    def build(self):
+    def build(*args):
         raise AssertionError("tables built for an oversized field")
 
-    monkeypatch.setattr(gf.Field, "_find_irreducible", build)
+    monkeypatch.setattr(gf, "_product_table", build)
     monkeypatch.setattr(gf.Field, "_build_tables", build)
     with pytest.raises(ValueError, match="exceeds the table limit 256"):
         make_field(2, 5)  # Q = 1024 > 2^8
 
 
+# (irreducible, omega) per q: both fix every encoding, so they are pinned.
+FIELD_CHOICES = {
+    3: ((1, 0, 1), 4),
+    4: ((1, 1, 0, 0, 1), 2),
+    5: ((2, 0, 1), 6),
+    7: ((1, 0, 1), 9),
+    8: ((1, 1, 0, 0, 0, 0, 1), 2),
+    9: ((2, 1, 0, 0, 1), 3),
+}
+
+
 def test_make_field_deterministic_and_cached():
     assert make_field(3, 1) is make_field(3, 1)
-    f = make_field(3, 1)
-    assert f.irreducible == (1, 0, 1)
-    assert f.omega == 4
+    for q, choice in FIELD_CHOICES.items():
+        f = field_for_q(q)
+        assert (f.irreducible, f.omega) == choice, q
 
 
 @pytest.mark.parametrize("q,order", [(3, 8), (4, 15)])

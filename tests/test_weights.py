@@ -18,7 +18,6 @@ from hermicode.rrspace import monomials
 from hermicode.verify import code_for as _code
 from hermicode.weights import (
     SizeGuardError,
-    min_distance,
     min_weight_characterization,
     orbit_zero_polynomial,
     roots_of_lacunary,
@@ -107,18 +106,25 @@ def test_box_kernel_random_differential(monkeypatch, q, n, sizes):
 
 
 def _encode_scan(code):
-    """Independent oracle for both routes: encode every message."""
-    counts: dict[int, int] = {}
-    for msg in itertools.product(code.field.elements(), repeat=code.k):
-        w = encode(code, msg).weight
-        counts[w] = counts.get(w, 0) + 1
-    return counts
+    """Independent oracle for both routes: every message of the message
+    grid, encoded by one add/mul-table fold per generator row.  Returns
+    the messages, their codewords and the weight counts."""
+    field = code.field
+    msgs = np.indices((field.order,) * code.k).reshape(code.k, -1).T
+    words = np.zeros((len(msgs), code.n), dtype=np.int64)
+    for coefs, row in zip(msgs.T, code.gen):
+        words = field.add_table[words, field.mul_table[coefs[:, None], row]]
+    ws, counts = np.unique(np.count_nonzero(words, axis=1), return_counts=True)
+    return msgs, words, dict(zip(ws.tolist(), counts.tolist()))
 
 
 @pytest.mark.parametrize("q,m", [(4, 3), (5, 2)])
 def test_both_routes_match_encode_scan(q, m):
     code = agcode.build_code(field_for_q(q), m)
-    scan = _encode_scan(code)
+    msgs, words, scan = _encode_scan(code)
+    assert sum(scan.values()) == code.field.order**code.k
+    for i in np.random.default_rng([q, m]).integers(0, len(msgs), 200):
+        assert encode(code, msgs[i].tolist()).symbols == tuple(words[i].tolist())
     for method in ("exhaustive", "reduced"):
         enum = weight_enumerator(code, method)
         assert enum.method == method
@@ -244,16 +250,6 @@ def test_jobs_do_not_change_counts(monkeypatch):
                     assert weight_enumerator(code, method, jobs=jobs).counts == base
 
 
-@pytest.mark.parametrize("patch", ["dimension_limit"])
-def test_reduced_fallback_reports_the_route_that_ran(monkeypatch, patch):
-    code = agcode.build_code(field_for_q(4), 3)
-    monkeypatch.setattr(weights, "_REDUCED_DIM_LIMIT", code.k - 1)
-    enum = weight_enumerator(code, "reduced")
-    assert enum.method == "exhaustive"
-    assert enum.to_dict()["method"] == "exhaustive"
-    assert enum == weight_enumerator(_code(4, 3), "exhaustive")
-
-
 def test_exhaustive_guard():
     code = _code(5, 4)  # 25^7 messages
     with pytest.raises(SizeGuardError):
@@ -272,7 +268,7 @@ def test_reduced_handles_the_largest_small_code():
 )
 def test_min_distance(q, m, expected_d):
     code = _code(q, m)
-    d = min_distance(code)
+    d = weight_enumerator(code).min_distance
     assert d == expected_d
     lower = q * q - q * (m - 1)
     upper = q * q - 1 - (m - 2) * (q + 1)

@@ -6,10 +6,10 @@ order the omega scaling of the plane realizes the coordinate shift
 (c_1, ..., c_n) -> (c_2, ..., c_n, c_1), so shift closure of the row
 space certifies that the whole code is cyclic.
 
-Substituting y = tau * x^(q+1) on the orbit turns basis function
-x^a * y^b into a multiple of the monomial x^e, e = a + (q+1) b, so the
-shift multiplies generator row t by omega^e_t.  The exponents e_t form
-the set E = {0} u {q+1-m+i+j(q+1) : i+j <= m-2}.
+On the orbit x = omega^i * u and y = tau * x^(q+1), so basis function
+x^a * y^b is tau^b * u^e times the monomial x^e, e = a + (q+1) b: every
+orbit gives the code of ``monomial_rows`` for the set
+E = {0} u {q+1-m+i+j(q+1) : i+j <= m-2}, as ``build_code`` checks.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class LinearCode:
         self.k, self.n = gen.shape
         self.powers = rrspace.powers(field, m)
         self.exponents = self.powers @ np.array([1, field.q + 1])
-        self._enum_cache: dict[str, object] = {}
 
     def __repr__(self) -> str:
         return f"LinearCode(q={self.q}, m={self.m}, n={self.n}, k={self.k})"
@@ -75,31 +74,36 @@ class LinearCode:
         }
 
 
+def monomial_rows(field: Field, exponents) -> np.ndarray:
+    """Row t holds omega^(i * e_t), i = 1 .. Q - 1, for E = ``exponents``.  The
+    rows are independent exactly when E has distinct residues mod Q - 1 (the
+    shift's eigenspaces are lines), so an E that repeats one is refused."""
+    big_n = field.order - 1
+    residues = np.asarray(exponents, dtype=np.int64) % big_n
+    if len(set(residues.tolist())) != len(residues):
+        raise RuntimeError(f"E repeats a residue mod {big_n}: the evaluation map is not injective")
+    return field.exp_table[np.outer(residues, np.arange(1, field.order)) % big_n]
+
+
 def build_code(field: Field, m: int, spec: OrbitSpec | None = None) -> LinearCode:
-    """Evaluate the basis over the ordered orbit, check that the shift
-    scales row t by omega^e_t, and check injectivity in closed form.
+    """Evaluate the basis over the ordered orbit and check that row t is
+    tau^b_t * u^e_t times row t of ``monomial_rows``, which proves the code
+    cyclic, of dimension k, and equal to the monomial code of E.
 
     Basis function t is x^a_t * y^b_t (``rrspace.powers``).  Every orbit
     point (u, v) has u, v != 0 (see OrbitSpec), so the whole matrix is
-    one exp-table gather at (a_t * log u + b_t * log v) mod (Q - 1), and
-    no row is zero.  Once the shift check holds, row t is an eigenvector
-    of the shift with eigenvalue omega^e_t.  The shift's eigenspaces are
-    lines (n = Q - 1 is prime to p), so the rows are independent exactly
-    when E has k distinct residues mod Q - 1.
-    """
+    one exp-table gather at (a_t * log u + b_t * log v) mod (Q - 1)."""
     if spec is None:
         spec = canonical_orbit_spec(field)
     logs = field.log_table[np.array(orbit_of(spec))[:, :2]]
     powers = rrspace.powers(field, m)  # checks the range of m
     gen = field.exp_table[(powers @ logs.T) % (field.order - 1)].astype(np.int16)
     code = LinearCode(field, m, spec, gen)
-    context = f"build_code(q={field.q}, m={m})"
-    scaled = field.mul_table[field.exp_table[code.exponents][:, None], code.gen]
-    if not np.array_equal(np.roll(code.gen, -1, axis=1), scaled):
-        raise RuntimeError(f"{context}: the shift does not scale row t by omega^e_t")
-    if len(set((code.exponents % (field.order - 1)).tolist())) != code.k:
-        raise RuntimeError(f"{context}: E repeats a residue mod {field.order - 1}, "
-                           "so the evaluation map is not injective")
+    log_tau, log_u = field.log_table[[spec.tau, spec.u]]
+    scale = field.exp_table[(powers[:, 1] * log_tau + code.exponents * log_u) % (field.order - 1)]
+    rows = field.mul_table[scale[:, None], monomial_rows(field, code.exponents)]
+    if not np.array_equal(gen, rows):
+        raise RuntimeError(f"build_code(q={field.q}, m={m}): the orbit is not in shift order")
     return code
 
 

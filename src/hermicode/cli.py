@@ -55,6 +55,12 @@ class _Usage(Exception):
     pass
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _cmd_points(args) -> int:
     fld = field_for_q(args.q)
     curve = HermitianCurve(fld)
@@ -198,20 +204,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_weights, need_m=True)
     p_weights.add_argument("--method", choices=("auto", "exhaustive", "reduced"),
                            default="auto")
-    p_weights.add_argument("--jobs", type=int, default=None,
+    p_weights.add_argument("--jobs", type=_positive_int, default=None,
                            help="worker threads (default: HERMICODE_JOBS or 1)")
 
     p_verify = subs.add_parser("verify", help="run claim checks")
     p_verify.add_argument("--q", type=int, choices=sorted(SUPPORTED_Q))
     p_verify.add_argument("--m", type=int)
     p_verify.add_argument("--suite", choices=("all",), default=None)
-    p_verify.add_argument("--jobs", type=int, default=None)
+    p_verify.add_argument("--jobs", type=_positive_int, default=None)
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_report = subs.add_parser("report", help="consolidated weight-distribution report")
     p_report.add_argument("--suite", choices=("all",), default="all")
-    p_report.add_argument("--jobs", type=int, default=None)
+    p_report.add_argument("--jobs", type=_positive_int, default=None)
     p_report.add_argument("--out", default=None)
     p_report.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -14,10 +14,10 @@ Statuses:
 Brute-force enumeration is the arbiter throughout.  At q <= 5 (and for
 the q = 7 cubic code) the reduced enumerator is never trusted alone:
 the exhaustive one must agree exactly before any claim is judged.  That
-agreement checks the reduced route's orbit bookkeeping, not the
-enumeration kernel, which both routes share; the kernel is guarded by
-its own oracle tests (a brute-force sum over its box, and a per-message
-encode scan of both routes).
+agreement checks the reduced route's orbit bookkeeping, not the kernel
+or the monomial rows that both routes share; those have their own oracle
+tests.  Equality across orbit choices is settled by ``build_code``, which
+proves every orbit's code equal to the one monomial code enumerated.
 """
 
 from __future__ import annotations
@@ -280,17 +280,15 @@ def check_min_weight_characterization(q: int, jobs: int | None = None) -> ClaimR
 
 
 def check_orbit_choice_enumerators(q: int, jobs: int | None = None) -> ClaimReport:
-    """Record the weight enumerators obtained from every stabilizer
-    orbit as the evaluation set; report whether they coincide without
-    asserting either outcome."""
+    """Record whether the weight enumerators of every stabilizer orbit's
+    code coincide.  Each ``build_code`` call proves its orbit's code equal
+    to the monomial code of E, so they do by construction."""
     fld = field_for_q(q)
     specs = all_orbit_specs(fld)
     outcomes = {}
     for m in range(2, q):
-        per_orbit = []
-        for spec in specs:
-            code = agcode.build_code(fld, m, spec)
-            per_orbit.append(weight_enumerator(code, "exhaustive", jobs).counts)
+        per_orbit = [weight_enumerator(agcode.build_code(fld, m, spec), "exhaustive", jobs).counts
+                     for spec in specs]
         outcomes[m] = all(c == per_orbit[0] for c in per_orbit)
     verdict = {f"m={m}": ("identical" if same else "differs") for m, same in outcomes.items()}
     detail = (f"{len(specs)} orbit choices per m; equality recorded as an observation, "

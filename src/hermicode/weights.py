@@ -9,10 +9,9 @@ run:
 
 * reduced -- weights are invariant under nonzero scalars and under the
   coordinate shift, and the shift multiplies message coordinate t by
-  omega^e_t, e_t in the code's exponent set E (``code.exponents``,
-  checked when the code is built).  Both symmetries together translate
-  the vector of discrete logs of the nonzero message coordinates by a
-  fixed subgroup L of (Z/(q^2-1))^s, one subgroup per support pattern.
+  omega^e_t, e_t in the code's exponent set E.  Both symmetries together
+  translate the vector of discrete logs of the nonzero message
+  coordinates by a fixed subgroup L of (Z/(q^2-1))^s, one per support.
   Orbits are exactly the cosets of L, so enumerating one point per
   coset of L (a box whose sides are a gcd chain of the differences of
   E on the support, the diagonal of L's Hermite normal form) and
@@ -20,17 +19,20 @@ run:
   codeword scans.  No free action is assumed: coset size is |L| by
   construction, fixed points just live in supports where L collapses.
 
-Both routes walk a product box, and one kernel counts every box: each
-coordinate has a table of its scaled generator rows (all Q scalars for
-the exhaustive route, omega^0 .. omega^(diag_i - 1) for the reduced
-one), stored as uint8.  The tables split into two halves of balanced
-size, each folded once, symbol-major, into an (n, words) array of its
-partial sums; the left tables are negated first, so a word left + right
-has a zero wherever neg(left) == right.  Each chunk of left columns is
-one comparison summed over the symbol axis.  With w = min(jobs, number
-of chunks) workers, worker j takes every w-th chunk, so w chunks are in
-flight; chunk counts merge by integer addition, so results are
-identical for any chunking and worker count.
+Both routes count the code of ``agcode.monomial_rows`` for (field, E),
+which ``build_code`` proved equal to every orbit's curve-built code (the
+witnesses and root counts below stay on the curve, as its oracles).
+Both walk a product box, one kernel counting every box: each coordinate
+has a table of its scaled monomial row (all Q scalars for the exhaustive
+route, omega^0 .. omega^(diag_i - 1) for the reduced one), as uint8.
+The tables split into two halves of balanced size, each folded once,
+symbol-major, into an (n, words) array of its partial sums; the left
+tables are negated first, so a word left + right has a zero wherever
+neg(left) == right.  Each chunk of left columns is one comparison summed
+over the symbol axis.  With w = min(jobs, number of chunks) workers,
+worker j takes every w-th chunk, so w chunks are in flight; chunk counts
+merge by integer addition, so results are identical for any chunking
+and worker count.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ EXHAUSTIVE_GUARD = 1 << 26
 AUTO_EXHAUSTIVE_LIMIT = 1 << 22
 _REDUCED_REPS_GUARD = 1 << 27
 _CHUNK_ELEMS = 1 << 22
+_ENUMERATORS: dict[tuple[Field, tuple[int, ...], str], WeightEnumerator] = {}
 
 
 class SizeGuardError(ValueError):
@@ -104,11 +107,14 @@ class WeightEnumerator:
 
 
 def default_jobs() -> int:
-    env = os.environ.get("HERMICODE_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
+    """Worker threads when none are given: HERMICODE_JOBS, or 1 where it
+    is unset.  A value that is not a positive integer is refused."""
+    env = os.environ.get("HERMICODE_JOBS")
+    if env is None:
         return 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"HERMICODE_JOBS={env!r} is not a positive integer")
+    return int(env)
 
 
 def _run_tasks(tasks, work, jobs: int, n: int) -> np.ndarray:
@@ -168,16 +174,14 @@ def _box_counts(field: Field, factors: list[np.ndarray], jobs: int) -> np.ndarra
 # -- exhaustive route ---------------------------------------------------
 
 
-def _exhaustive_counts(code: LinearCode, jobs: int) -> np.ndarray:
-    field = code.field
-    space = field.order**code.k
+def _exhaustive_counts(field: Field, exponents, jobs: int) -> np.ndarray:
+    rows = agcode.monomial_rows(field, exponents)
+    space = field.order**len(rows)
     if space > EXHAUSTIVE_GUARD:
         raise SizeGuardError(
-            f"message space {space} exceeds the exhaustive guard {EXHAUSTIVE_GUARD}; "
-            "use the reduced method"
-        )
+            f"message space {space} exceeds the exhaustive guard {EXHAUSTIVE_GUARD}")
     mul = field.mul_table.astype(np.uint8)
-    return _box_counts(field, [mul[:, row] for row in code.gen], jobs)
+    return _box_counts(field, [mul[:, row] for row in rows], jobs)
 
 
 # -- reduced route ------------------------------------------------------
@@ -197,20 +201,18 @@ def _transversal(logs: list[int], modulus: int) -> list[int]:
     return diag
 
 
-def _reduced_counts(code: LinearCode, jobs: int) -> np.ndarray:
+def _reduced_counts(field: Field, exponents, jobs: int) -> np.ndarray:
     """Counts from one box per support pattern."""
-    field, gen = code.field, code.gen
-    k, n = gen.shape
-    big_n = field.order - 1
-    shift_logs = code.exponents.tolist()
+    rows = agcode.monomial_rows(field, exponents)
+    k, n = rows.shape  # n = Q - 1 is also the modulus of the logs
 
     supports: list[tuple[tuple[int, ...], list[int], int]] = []
     total_reps = 0
     for mask in range(1, 1 << k):
         coords = tuple(t for t in range(k) if (mask >> t) & 1)
-        diag = _transversal([shift_logs[t] for t in coords], big_n)
+        diag = _transversal([exponents[t] for t in coords], n)
         reps = prod(diag)
-        orbit_size, rem = divmod(big_n**len(coords), reps)
+        orbit_size, rem = divmod(n**len(coords), reps)
         if rem:
             raise RuntimeError("transversal size does not divide the support class")
         total_reps += reps
@@ -224,7 +226,7 @@ def _reduced_counts(code: LinearCode, jobs: int) -> np.ndarray:
     mul = field.mul_table.astype(np.uint8)
     counts = np.zeros(n + 1, dtype=np.int64)
     for coords, diag, orbit_size in supports:
-        factors = [mul[np.ix_(field.exp_table[:d], gen[t])] for t, d in zip(coords, diag)]
+        factors = [mul[np.ix_(field.exp_table[:d], rows[t])] for t, d in zip(coords, diag)]
         counts += orbit_size * _box_counts(field, factors, jobs)
     counts[0] += 1  # zero message
     expected = field.order**k
@@ -238,32 +240,32 @@ def _reduced_counts(code: LinearCode, jobs: int) -> np.ndarray:
 # -- public enumeration API ---------------------------------------------
 
 
-def resolve_method(code: LinearCode, method: str) -> str:
+def weight_enumerator(code: LinearCode, method: str = "auto", jobs: int | None = None) -> WeightEnumerator:
+    """Exact weight enumerator of the monomial code of E = ``code.exponents``,
+    which ``build_code`` proved equal to the curve-built one; cached per
+    (field, E, route), so every orbit of a (q, m) shares one entry."""
     if method not in ("auto", "exhaustive", "reduced"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
-        space = code.field.order**code.k
-        return "exhaustive" if space <= AUTO_EXHAUSTIVE_LIMIT else "reduced"
-    return method
-
-
-def weight_enumerator(code: LinearCode, method: str = "auto", jobs: int | None = None) -> WeightEnumerator:
-    """Exact weight enumerator; results are cached per code and method."""
-    resolved = resolve_method(code, method)
-    cached = code._enum_cache.get(resolved)
-    if cached is not None:
-        return cached
-    jobs = default_jobs() if jobs is None else max(1, jobs)
+        method = "exhaustive" if code.field.order**code.k <= AUTO_EXHAUSTIVE_LIMIT else "reduced"
+    jobs = default_jobs() if jobs is None else jobs
+    if jobs < 1:
+        raise ValueError(f"jobs={jobs} is not a positive integer")
+    exponents = tuple(code.exponents.tolist())
+    key = (code.field, exponents, method)
+    if key in _ENUMERATORS:
+        return _ENUMERATORS[key]
     start = time.perf_counter()
-    raw = (_reduced_counts if resolved == "reduced" else _exhaustive_counts)(code, jobs)
+    raw = (_reduced_counts if method == "reduced" else _exhaustive_counts)(
+        code.field, exponents, jobs)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     counts = {w: int(c) for w, c in enumerate(raw) if c}
-    enum = WeightEnumerator(code.q, code.m, code.n, code.k, counts, resolved, elapsed_ms)
+    enum = WeightEnumerator(code.q, code.m, code.n, code.k, counts, method, elapsed_ms)
     if enum.total() != code.field.order**code.k:
         raise RuntimeError("enumerator total does not match the message space")
     if enum.count(0) != 1:
         raise RuntimeError("enumerator must see exactly one zero codeword")
-    code._enum_cache[resolved] = enum
+    _ENUMERATORS[key] = enum
     return enum
 
 

@@ -1,7 +1,7 @@
 """Code construction: parameters, rank, encoding, cyclicity, the shift
 exponents E (the shift scales message coordinate t by omega^e_t), the
-build-time checks (shift order, and injectivity read off E), and the
-export schema."""
+build-time checks (the identity with the monomial rows, and injectivity
+read off E), and the export schema."""
 
 import numpy as np
 import pytest
@@ -139,8 +139,8 @@ def test_shift_matrix_is_diagonal_with_scaling_eigenvalues(q, m):
 
 @pytest.mark.parametrize("tamper", ["reversed", "swapped"])
 def test_build_refuses_an_orbit_out_of_shift_order(monkeypatch, tamper):
-    # E is unchanged, so the injectivity check passes; only the shift
-    # check sees that the points are not in omega order.
+    # E is unchanged, so monomial_rows accepts it; only the identity with
+    # the monomial rows sees that the points are not in omega order.
     def tampered(spec):
         points = orbit_of(spec)
         if tamper == "reversed":
@@ -156,8 +156,8 @@ def test_build_refuses_an_orbit_out_of_shift_order(monkeypatch, tamper):
 
 def test_rank_deficiency_aborts(monkeypatch):
     # The last basis function is replaced by the constant, so two rows
-    # are all ones with one shift eigenvalue; the shift check still
-    # passes, and only the residue check on E refuses the code.
+    # are all ones with one shift eigenvalue; the identity with the
+    # monomial rows holds, and only the residue check on E refuses it.
     real_powers = rrspace.powers
 
     def repeated(field, m):

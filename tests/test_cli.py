@@ -119,6 +119,25 @@ def test_size_guard_exit_3():
     assert "guard" in err
 
 
+@pytest.mark.parametrize("m", [4, 6])
+def test_exhaustive_guard_gives_no_advice(m):
+    # At q = 7 the reduced route refuses m = 6 too, so the exhaustive
+    # guard's message must not send the user there.
+    rc, _, err = run_cli(["weights", "--q", "7", "--m", str(m), "--method", "exhaustive"])
+    assert rc == 3
+    assert "exhaustive guard" in err
+    assert "use the reduced method" not in err
+
+
+@pytest.mark.parametrize("command", [["weights", "--q", "3", "--m", "2"],
+                                     ["verify", "--q", "3", "--m", "2"], ["report"]])
+@pytest.mark.parametrize("jobs", ["0", "-1", "2x", "auto", "1.5"])
+def test_jobs_must_be_a_positive_integer(command, jobs):
+    rc, out, err = run_cli(command + ["--jobs", jobs])
+    assert rc == 2 and out == ""
+    assert "positive integer" in err
+
+
 @pytest.mark.parametrize("method", ["reduced", "auto"])
 def test_reduced_route_refuses_large_codes_with_its_own_guard(method):
     # k = 16 at q = 7, m = 6: the representatives guard refuses the code,

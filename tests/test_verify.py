@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from hermicode import verify
+from hermicode import agcode, verify
 from hermicode.gf import field_for_q
-from hermicode.curve import canonical_orbit_spec
+from hermicode.curve import all_orbit_specs, canonical_orbit_spec, orbit_of
 
 
 def _by_id(claims):
@@ -97,6 +97,22 @@ def test_orbit_choice_observation():
     assert rep.status == "pass"
     assert rep.observed["recorded"] is True
     assert "m=2" in rep.observed
+
+
+def test_orbit_choice_claim_rests_on_build_code(monkeypatch):
+    # Enumeration sees only (field, E), so a wrong orbit generator can
+    # only be caught where build_code checks it against the monomial rows.
+    tampered_spec = all_orbit_specs(field_for_q(3))[1]
+
+    def tampered(spec):
+        points = orbit_of(spec)
+        if spec == tampered_spec:
+            points[0], points[1] = points[1], points[0]
+        return points
+
+    monkeypatch.setattr(agcode, "orbit_of", tampered)
+    with pytest.raises(RuntimeError, match="shift"):
+        verify.check_orbit_choice_enumerators(3)
 
 
 def test_exit_status():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from oracles import evaluate, hnf_diagonal
 
-from hermicode import agcode, weights
+from hermicode import agcode, rrspace, weights
 from hermicode.agcode import encode
 from hermicode.curve import all_orbit_specs, canonical_orbit_spec, orbit_of
 from hermicode.gf import field_for_q
@@ -158,21 +158,96 @@ def test_reduced_equals_exhaustive(q, m):
 
 
 def test_reduced_equals_exhaustive_on_every_orbit():
-    # The reduced route reads its shift logs off code.exponents, so every
-    # orbit is checked, not just the canonical one.
+    # Both routes count the monomial code of (field, E), blind to the
+    # orbit; each must equal a scan of that orbit's own curve-built
+    # generator, which is the code the claims are about.
     cases = 0
-    for q in (3, 4, 5, 7):
+    for q in (3, 4, 5, 7, 8, 9):
         f = field_for_q(q)
         for spec in all_orbit_specs(f):
             for m in range(2, q):
                 code = agcode.build_code(f, m, spec)
-                if f.order**code.k > weights.EXHAUSTIVE_GUARD:
+                if f.order**code.k > 1 << 16:
                     continue
-                reduced = weight_enumerator(code, "reduced", jobs=1)
-                assert reduced.method == "reduced"
-                assert reduced == weight_enumerator(code, "exhaustive", jobs=1), (q, spec, m)
+                scan = _encode_scan(code)[2]
+                for method in ("exhaustive", "reduced"):
+                    enum = weight_enumerator(code, method, jobs=1)
+                    assert enum.method == method
+                    assert enum.counts == scan, (q, spec.v, m, method)
                 cases += 1
-    assert cases == 35
+    assert cases == 40
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _random_exponent_sets():
+    """Seeded random E in Z/(Q - 1), 1 <= |E| <= 5 and Q^|E| <= 2^20, 30
+    per q at p = 2 and odd p, listed in random order.  Every fourth E
+    lies in one coset of the subgroup of order d, so the differences of E
+    share the factor (Q - 1) / d and L collapses towards the diagonal."""
+    rng = np.random.default_rng(9109)
+    cases = []
+    for q in (3, 4, 5, 7, 8):
+        f = field_for_q(q)
+        big_n = f.order - 1
+        largest = max(s for s in range(1, 6) if f.order**s <= 1 << 20)
+        for trial in range(30):
+            size = int(rng.integers(1, largest + 1))
+            if trial % 4 == 0:
+                d = int(rng.choice([d for d in _divisors(big_n) if d >= size]))
+                coset = rng.integers(0, big_n) + big_n // d * rng.choice(d, size, replace=False)
+                exponents = coset % big_n
+            else:
+                exponents = rng.choice(big_n, size, replace=False)
+            cases.append((f, [int(e) for e in exponents]))
+    return cases
+
+
+def test_routes_agree_on_random_exponent_sets(monkeypatch):
+    cases = _random_exponent_sets()
+    assert len(cases) == 150
+    counts = []
+    for f, exponents in cases:
+        exhaustive = weights._exhaustive_counts(f, exponents, 1)
+        assert int(exhaustive.sum()) == f.order**len(exponents), (f.q, exponents)
+        assert np.array_equal(weights._reduced_counts(f, exponents, 1), exhaustive), \
+            (f.q, exponents)
+        counts.append(exhaustive)
+    # One-column chunks, so every left column is its own task.
+    monkeypatch.setattr(weights, "_CHUNK_ELEMS", 1)
+    small = [i for i, (f, e) in enumerate(cases) if f.order**len(e) <= 1 << 12][::4]
+    assert len(small) >= 10
+    for i in small:
+        f, exponents = cases[i]
+        for route in (weights._exhaustive_counts, weights._reduced_counts):
+            for jobs in (1, 2, 8):
+                assert np.array_equal(route(f, exponents, jobs), counts[i]), (f.q, exponents)
+
+
+@pytest.mark.parametrize("q,m", [(3, 2), (4, 3), (5, 4), (7, 3), (8, 3)])
+def test_repeated_residue_is_refused(monkeypatch, q, m):
+    # A lift e + (Q - 1) of an exponent already in E: the two monomial
+    # rows coincide, so the map from messages to words is not injective.
+    f = field_for_q(q)
+    big_n = f.order - 1
+    rng = np.random.default_rng([q, m])
+    exponents = [int(e) for e in rng.choice(big_n, 3, replace=False)]
+    exponents.append(exponents[0] + big_n)
+    for route in (weights._exhaustive_counts, weights._reduced_counts):
+        with pytest.raises(RuntimeError, match="repeats a residue"):
+            route(f, exponents, 1)
+    real_powers = rrspace.powers
+
+    def lifted(field, m):
+        pairs = real_powers(field, m)
+        pairs[-1] = pairs[0] + (big_n, 0)
+        return pairs
+
+    monkeypatch.setattr(rrspace, "powers", lifted)
+    with pytest.raises(RuntimeError, match="repeats a residue"):
+        agcode.build_code(f, m)
 
 
 def test_transversal_matches_hnf_diagonal():
@@ -215,10 +290,11 @@ def test_workers_are_capped_at_the_chunk_count(monkeypatch):
     code = agcode.build_code(field_for_q(4), 3)
     methods = ("exhaustive", "reduced")
     base = {method: weight_enumerator(code, method, jobs=1).counts for method in methods}
+    monkeypatch.setattr(weights, "_ENUMERATORS", {})
     monkeypatch.setattr(weights, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(weights, "_CHUNK_ELEMS", 1)
     for method in methods:
-        code._enum_cache.clear()
+        weights._ENUMERATORS.clear()
         assert weight_enumerator(code, method, jobs=1000).counts == base[method]
     assert pools
     for pool in pools:
@@ -238,16 +314,42 @@ def test_enumerator_bookkeeping():
 def test_jobs_do_not_change_counts(monkeypatch):
     # q = 4 has p = 2, q = 5 odd p.  A one-element chunk budget splits
     # every box into one task per left column.
+    monkeypatch.setattr(weights, "_ENUMERATORS", {})
     for q in (4, 5):
         code = agcode.build_code(field_for_q(q), 3)
         for method in ("exhaustive", "reduced"):
-            code._enum_cache.clear()
+            weights._ENUMERATORS.clear()
             base = weight_enumerator(code, method, jobs=1).counts
             with monkeypatch.context() as patch:
                 patch.setattr(weights, "_CHUNK_ELEMS", 1)
                 for jobs in (1, 2, 8):
-                    code._enum_cache.clear()
+                    weights._ENUMERATORS.clear()
                     assert weight_enumerator(code, method, jobs=jobs).counts == base
+
+
+@pytest.mark.parametrize("value", ["auto", "2x", "0", "-1", " 2", ""])
+def test_default_jobs_refuses_a_malformed_environment(monkeypatch, value):
+    monkeypatch.setenv("HERMICODE_JOBS", value)
+    with pytest.raises(ValueError, match="HERMICODE_JOBS"):
+        weights.default_jobs()
+    with pytest.raises(ValueError, match="HERMICODE_JOBS"):
+        weight_enumerator(_code(3, 2), "exhaustive")
+
+
+def test_default_jobs_reads_the_environment(monkeypatch):
+    monkeypatch.delenv("HERMICODE_JOBS", raising=False)
+    assert weights.default_jobs() == 1
+    monkeypatch.setenv("HERMICODE_JOBS", "3")
+    assert weights.default_jobs() == 3
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_weight_enumerator_refuses_nonpositive_jobs(jobs):
+    # Refused also when the enumerator is already cached.
+    code = _code(3, 2)
+    weight_enumerator(code, "exhaustive", jobs=1)
+    with pytest.raises(ValueError, match="positive integer"):
+        weight_enumerator(code, "exhaustive", jobs=jobs)
 
 
 def test_exhaustive_guard():

@@ -240,6 +240,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if getattr(args, "jobs", 1) is None:
+            try:
+                args.jobs = weights.default_jobs()
+            except ValueError as exc:
+                raise _Usage(exc) from None
         return _COMMANDS[args.command](args)
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)

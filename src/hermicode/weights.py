@@ -22,22 +22,25 @@ run:
 Both routes count the code of ``agcode.monomial_rows`` for (field, E),
 which ``build_code`` proved equal to every orbit's curve-built code (the
 witnesses and root counts below stay on the curve, as its oracles).
-Both walk a product box, one kernel counting every box: each coordinate
+Both walk product boxes, one kernel counting every box: each coordinate
 has a table of its scaled monomial row (all Q scalars for the exhaustive
 route, omega^0 .. omega^(diag_i - 1) for the reduced one), as uint8.
-The tables split into two halves of balanced size, each folded once,
-symbol-major, into an (n, words) array of its partial sums; the left
-tables are negated first, so a word left + right has a zero wherever
-neg(left) == right.  Each chunk of left columns is one comparison summed
-over the symbol axis.  With w = min(jobs, number of chunks) workers,
-worker j takes every w-th chunk, so w chunks are in flight; chunk counts
-merge by integer addition, so results are identical for any chunking
-and worker count.
+A box's tables split into two halves of balanced size, each folded
+symbol-major into an (n, words) array of its partial sums, the left one
+negated, so a word has a zero wherever neg(left) == right.  A tile, some
+left columns against all right columns, about _TILE_WORDS words, adds
+each symbol's comparison in place into its uint8 zero counts (or makes
+one comparison over all symbols while that mask is cache-sized), and
+bincounts them two per uint16.  All boxes of an enumeration share one
+task list, consecutive tiles filling a task of about _TILE_WORDS words;
+a box is folded at its first tile and dropped after its last.  Counts
+merge by integer addition, so any tiling and worker count agree.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from math import gcd, prod
@@ -51,7 +54,7 @@ from .gf import Field
 EXHAUSTIVE_GUARD = 1 << 26
 AUTO_EXHAUSTIVE_LIMIT = 1 << 22
 _REDUCED_REPS_GUARD = 1 << 27
-_CHUNK_ELEMS = 1 << 22
+_TILE_WORDS = 1 << 18
 _ENUMERATORS: dict[tuple[Field, tuple[int, ...], str], WeightEnumerator] = {}
 
 
@@ -64,10 +67,7 @@ class WeightEnumerator:
 
     def __init__(self, q: int, m: int, n: int, k: int, counts: dict[int, int],
                  method: str, elapsed_ms: float):
-        self.q = q
-        self.m = m
-        self.n = n
-        self.k = k
+        self.q, self.m, self.n, self.k = q, m, n, k
         self.counts = {w: int(c) for w, c in sorted(counts.items()) if c}
         self.method = method
         self.elapsed_ms = elapsed_ms
@@ -95,40 +95,30 @@ class WeightEnumerator:
     def to_dict(self) -> dict:
         # elapsed_ms is informational only and excluded from determinism
         # comparisons.
-        return {
-            "q": self.q,
-            "m": self.m,
-            "n": self.n,
-            "k": self.k,
-            "counts": {str(w): c for w, c in self.counts.items()},
-            "method": self.method,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return {**vars(self), "counts": {str(w): c for w, c in self.counts.items()}}
 
 
 def default_jobs() -> int:
     """Worker threads when none are given: HERMICODE_JOBS, or 1 where it
     is unset.  A value that is not a positive integer is refused."""
-    env = os.environ.get("HERMICODE_JOBS")
-    if env is None:
-        return 1
+    env = os.environ.get("HERMICODE_JOBS", "1")
     if not env.isdecimal() or int(env) < 1:
         raise ValueError(f"HERMICODE_JOBS={env!r} is not a positive integer")
     return int(env)
 
 
-def _run_tasks(tasks, work, jobs: int, n: int) -> np.ndarray:
-    """Sum of work(task) over the sliceable ``tasks``.  With w = min(jobs,
-    len(tasks)) workers, worker j sums every w-th task from j on, so only
-    w tasks are in flight and none is empty."""
-    def run(part) -> np.ndarray:
-        return sum((work(task) for task in part), np.zeros(n + 1, dtype=np.int64))
+def _run_tasks(tasks: list, tile, jobs: int) -> np.ndarray:
+    """Sum of tile(*piece) over the pieces of all tasks.  w = min(jobs,
+    len(tasks)) workers take the tasks in order, each the next one as it
+    frees up, so none idles while tasks remain; w = 1 runs them inline."""
+    def run(task) -> np.ndarray:
+        return sum(tile(*piece) for piece in task)
 
     workers = min(jobs, len(tasks))
     if workers < 2:
-        return run(tasks)
+        return sum(map(run, tasks))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(run, [tasks[j::workers] for j in range(workers)]))
+        return sum(pool.map(run, tasks))
 
 
 # -- the product-box kernel --------------------------------------------
@@ -144,31 +134,59 @@ def _fold(add: np.ndarray, tables: list[np.ndarray], n: int) -> np.ndarray:
     return acc
 
 
-def _box_counts(field: Field, factors: list[np.ndarray], jobs: int) -> np.ndarray:
-    """Weight histogram of the product box: every word r_1 + ... + r_s
-    with r_i a row of the d_i x n uint8 table ``factors[i]``.
+def _histogram(flat: np.ndarray, n: int) -> np.ndarray:
+    """Counts of 0..n in the flat uint8 array from one bincount of its uint16
+    view: a + 256*b counts a and b, so byte order does not matter."""
+    pairs = np.bincount(flat[:flat.size & ~1].view(np.uint16), minlength=256 * (n + 1))
+    pairs = pairs.reshape(n + 1, 256)
+    hist = pairs[:, :n + 1].sum(axis=0) + pairs.sum(axis=1)
+    hist[flat[-1]] += flat.size & 1
+    return hist
 
-    The split balances the two halves' sizes, the larger half on the
-    left, whose columns are the chunks.  Both halves fold symbol-major,
-    the left one from negated tables (negation is additive), so a chunk
-    is one comparison neg(left) == right summed over the symbol axis; a
-    zero count is at most n = Q - 1 < 256, so it is summed in uint8.
-    """
-    n = factors[0].shape[1]
-    sizes = [table.shape[0] for table in factors]
-    h = min(range(len(sizes) + 1),
-            key=lambda h: (max(prod(sizes[:h]), prod(sizes[h:])), prod(sizes[h:])))
+
+def _box_counts(field: Field, boxes, jobs: int) -> np.ndarray:
+    """Sum over the (factors, weight) boxes of weight times the weight counts
+    of every word r_1 + ... + r_s, r_i a row of the d_i x n table factors[i]."""
+    n = boxes[0][0][0].shape[1]
     add = field.add_table.astype(np.uint8)
-    neg_left = _fold(add, [field.neg_table[table] for table in factors[:h]], n)
-    right = _fold(add, factors[h:], n)
-    chunk = max(1, _CHUNK_ELEMS // (right.shape[1] * n))
+    remaining, tasks, task, words = [], [], [], 0
+    for b, (factors, _) in enumerate(boxes):
+        sizes = [table.shape[0] for table in factors]
+        h = min(range(len(sizes) + 1),
+                key=lambda h: (max(prod(sizes[:h]), prod(sizes[h:])), prod(sizes[h:])))
+        left, right = prod(sizes[:h]), prod(sizes[h:])
+        cols = max(1, _TILE_WORDS // right)
+        remaining.append(-(-left // cols))
+        for lo in range(0, left, cols):
+            task.append((b, h, lo, lo + cols))
+            words += min(cols, left - lo) * right
+            if words >= _TILE_WORDS:
+                tasks.append(task)
+                task, words = [], 0
+    tasks += [task] if task else []
+    folds, locks = {}, [threading.Lock() for _ in boxes]
 
-    def work(lo):
-        equal = neg_left[:, lo:lo + chunk, None] == right[:, None, :]
-        zeros = equal.view(np.uint8).sum(axis=0, dtype=np.uint8)
-        return np.bincount(zeros.ravel(), minlength=n + 1)[::-1]
+    def tile(b, h, lo, hi):
+        with locks[b]:  # fold a box at its first tile, drop it at its last
+            if b not in folds:
+                factors = boxes[b][0]
+                folds[b] = (_fold(add, [field.neg_table[t] for t in factors[:h]], n)[:, :, None],
+                            _fold(add, factors[h:], n))
+            neg_left, right = folds[b]
+            remaining[b] -= 1
+            if not remaining[b]:
+                del folds[b]
+        neg_left = neg_left[:, lo:hi]
+        if n * neg_left.shape[1] * right.shape[1] <= 8 * _TILE_WORDS:  # fits a core's L2
+            zeros = (neg_left == right[:, None, :]).view(np.uint8).sum(axis=0, dtype=np.uint8)
+        else:
+            equal = neg_left[0] == right[0]
+            zeros = np.zeros_like(equal, dtype=np.uint8)
+            for col, row in zip(neg_left, right):
+                zeros += np.equal(col, row, out=equal).view(np.uint8)
+        return boxes[b][1] * _histogram(zeros.ravel(), n)[::-1]
 
-    return _run_tasks(range(0, neg_left.shape[1], chunk), work, jobs, n)
+    return _run_tasks(tasks, tile, jobs)
 
 
 # -- exhaustive route ---------------------------------------------------
@@ -181,7 +199,7 @@ def _exhaustive_counts(field: Field, exponents, jobs: int) -> np.ndarray:
         raise SizeGuardError(
             f"message space {space} exceeds the exhaustive guard {EXHAUSTIVE_GUARD}")
     mul = field.mul_table.astype(np.uint8)
-    return _box_counts(field, [mul[:, row] for row in rows], jobs)
+    return _box_counts(field, [([mul[:, row] for row in rows], 1)], jobs)
 
 
 # -- reduced route ------------------------------------------------------
@@ -206,8 +224,8 @@ def _reduced_counts(field: Field, exponents, jobs: int) -> np.ndarray:
     rows = agcode.monomial_rows(field, exponents)
     k, n = rows.shape  # n = Q - 1 is also the modulus of the logs
 
-    supports: list[tuple[tuple[int, ...], list[int], int]] = []
-    total_reps = 0
+    mul = field.mul_table.astype(np.uint8)
+    boxes, total_reps = [], 0  # (factors, orbit size) per support
     for mask in range(1, 1 << k):
         coords = tuple(t for t in range(k) if (mask >> t) & 1)
         diag = _transversal([exponents[t] for t in coords], n)
@@ -221,13 +239,10 @@ def _reduced_counts(field: Field, exponents, jobs: int) -> np.ndarray:
                 f"reduced enumeration needs more than {_REDUCED_REPS_GUARD} "
                 "representatives; the code is too large to enumerate"
             )
-        supports.append((coords, diag, orbit_size))
+        boxes.append(([mul[np.ix_(field.exp_table[:d], rows[t])] for t, d in zip(coords, diag)],
+                      orbit_size))
 
-    mul = field.mul_table.astype(np.uint8)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for coords, diag, orbit_size in supports:
-        factors = [mul[np.ix_(field.exp_table[:d], rows[t])] for t, d in zip(coords, diag)]
-        counts += orbit_size * _box_counts(field, factors, jobs)
+    counts = _box_counts(field, boxes, jobs)
     counts[0] += 1  # zero message
     expected = field.order**k
     if int(counts.sum()) != expected:

@@ -5,6 +5,8 @@ enumerator, the reduced route against the exhaustive one, and the
 distributions against their closed forms."""
 
 import itertools
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -73,15 +75,18 @@ def test_box_kernel_matches_brute_force(q, sizes):
     # Symbols from a pool closed under negation, so sums cancel often.
     pool = np.array([0, a, field.neg(a), b, field.neg(b)], dtype=np.uint8)
     factors = [pool[rng.integers(0, len(pool), (d, 9))] for d in sizes]
-    counts = weights._box_counts(field, factors, jobs=1)
+    counts = weights._box_counts(field, [(factors, 1)], jobs=1)
     assert counts.dtype == np.int64
     assert int(counts.sum()) == int(np.prod(sizes))
     assert np.array_equal(counts, _brute_box_counts(field, factors))
 
 
 # n = 1, 24 and 80 are the smallest symbol axis and the lengths at q = 5
-# and q = 9.  At n = 1 a 7-element budget makes 2-column chunks over 9
-# left columns, the last one partial.
+# and q = 9.  At n = 1 a 7-word tile is 2 left columns of 3 words over 9
+# left columns, the last tile partial; every 3-word tile and the 27-word
+# box have an odd tail in the uint16 view of their zero counts.  Tiles of
+# 1 and 7 words run n > 8 symbols one by one, the default tile compares
+# all symbols at once.
 @pytest.mark.parametrize("q,n,sizes", [
     (3, 1, (9, 1, 3)), (5, 24, (4, 3, 5, 2)), (9, 80, (3, 4, 2)), (9, 80, (6,)),
 ])
@@ -99,10 +104,114 @@ def test_box_kernel_random_differential(monkeypatch, q, n, sizes):
     add = field.add_table.astype(np.uint8)
     folded = weights._fold(add, factors, n)
     assert folded.shape == (n, int(np.prod(sizes))) and folded.flags["C_CONTIGUOUS"]
-    for chunk in (1, 7, weights._CHUNK_ELEMS):
-        monkeypatch.setattr(weights, "_CHUNK_ELEMS", chunk)
+    for tile in (1, 7, weights._TILE_WORDS):
+        monkeypatch.setattr(weights, "_TILE_WORDS", tile)
         for jobs in (1, 2):
-            assert np.array_equal(weights._box_counts(field, factors, jobs), expected)
+            assert np.array_equal(weights._box_counts(field, [(factors, 1)], jobs), expected)
+
+
+class RecordingPool:
+    """Stand-in for the thread pool: records its workers and the tasks
+    it is given, and runs them in the calling thread."""
+    pools: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers, self.tasks = max_workers, []
+        RecordingPool.pools.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        self.tasks = list(tasks)
+        return [fn(task) for task in self.tasks]
+
+
+def _random_boxes(field, seed):
+    """Seeded (factors, weight) boxes of 1 to 60 words over the field,
+    and the weighted sum of their brute-force counts."""
+    rng = np.random.default_rng(seed)
+    boxes = []
+    for sizes in [(2, 3), (1,), (4, 5, 3), (1, 1), (2, 2), (3,), (7, 6), (1, 2, 1)]:
+        factors = [rng.integers(0, field.order, (d, field.order - 1)).astype(np.uint8)
+                   for d in sizes]
+        boxes.append((factors, int(rng.integers(1, 10**6))))
+    return boxes, sum(weight * _brute_box_counts(field, factors) for factors, weight in boxes)
+
+
+def test_box_list_sums_the_weighted_boxes(monkeypatch):
+    # Random boxes at q = 5 and q = 8.  A 16-word tile packs the small
+    # boxes into shared tasks and spreads the large ones over several;
+    # 50 words and the default tile pack them differently.
+    monkeypatch.setattr(RecordingPool, "pools", [])
+    monkeypatch.setattr(weights, "ThreadPoolExecutor", RecordingPool)
+    default = weights._TILE_WORDS
+    for q in (5, 8):
+        field = field_for_q(q)
+        boxes, expected = _random_boxes(field, [91, q])
+        for tile in (16, 50, default):
+            monkeypatch.setattr(weights, "_TILE_WORDS", tile)
+            for jobs in (1, 2, 3):
+                RecordingPool.pools.clear()
+                assert np.array_equal(weights._box_counts(field, boxes, jobs), expected)
+                # One pool at most; all boxes fit one default tile, which runs inline.
+                assert len(RecordingPool.pools) == (jobs > 1 and tile != default)
+            if tile == 16:
+                tasks = [[b for b, *_ in task] for task in RecordingPool.pools[0].tasks]
+                assert any(len(set(task)) > 1 for task in tasks)
+                assert any(sum(b in task for task in tasks) > 1 for b in range(len(boxes)))
+
+
+def test_boxes_are_folded_when_their_tiles_are_reached(monkeypatch):
+    # Single-threaded, each box's two halves are folded just before its
+    # first tile, never all boxes up front, and each box exactly once; a
+    # box's folds are dropped after its last tile, so when a half is
+    # folded at most the other half of the same box is still alive.
+    field = field_for_q(5)
+    rng = np.random.default_rng(93)
+    boxes = [([rng.integers(0, 25, (d, 24)).astype(np.uint8) for d in sizes], 1)
+             for sizes in [(3, 4), (5,), (2, 6, 2)]]
+    events, folded = [], []
+    fold, histogram = weights._fold, weights._histogram
+
+    def recording_fold(*args):
+        assert sum(ref() is not None for ref in folded) <= 1
+        events.append("fold")
+        out = fold(*args)
+        folded.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(weights, "_fold", recording_fold)
+    monkeypatch.setattr(weights, "_histogram", lambda *a: events.append("tile") or histogram(*a))
+    monkeypatch.setattr(weights, "_TILE_WORDS", 4)
+    weights._box_counts(field, boxes, 1)
+    runs = "".join("f" if e == "fold" else "t" for e in events)
+    assert runs.count("f") == 2 * len(boxes)
+    assert [len(part) for part in runs.split("t") if part] == [2] * len(boxes)
+    assert runs.startswith("fft") and not runs.endswith("f")
+
+
+def test_threads_fold_each_box_once(monkeypatch):
+    # More workers than cores and a short switch interval: a race on the
+    # shared table of folded boxes would fold some box twice.
+    field = field_for_q(5)
+    boxes, expected = _random_boxes(field, 95)
+    calls = []
+    fold = weights._fold
+    monkeypatch.setattr(weights, "_fold", lambda *a: calls.append(1) or fold(*a))
+    monkeypatch.setattr(weights, "_TILE_WORDS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            calls.clear()
+            assert np.array_equal(weights._box_counts(field, boxes, 8), expected)
+            assert len(calls) == 2 * len(boxes)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _encode_scan(code):
@@ -215,8 +324,8 @@ def test_routes_agree_on_random_exponent_sets(monkeypatch):
         assert np.array_equal(weights._reduced_counts(f, exponents, 1), exhaustive), \
             (f.q, exponents)
         counts.append(exhaustive)
-    # One-column chunks, so every left column is its own task.
-    monkeypatch.setattr(weights, "_CHUNK_ELEMS", 1)
+    # One-word tiles: every left column is its own tile and task.
+    monkeypatch.setattr(weights, "_TILE_WORDS", 1)
     small = [i for i, (f, e) in enumerate(cases) if f.order**len(e) <= 1 << 12][::4]
     assert len(small) >= 10
     for i in small:
@@ -268,40 +377,28 @@ def test_transversal_matches_hnf_diagonal():
 
 
 def test_workers_are_capped_at_the_chunk_count(monkeypatch):
-    # A recording stand-in for the thread pool runs every partition in
-    # this thread; jobs = 1000 is far above any chunk count here.
-    pools = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            self.max_workers, self.parts = max_workers, []
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, parts):
-            self.parts = list(parts)
-            return [fn(part) for part in self.parts]
-
+    # The recording pool runs every task in this thread; jobs = 1000 is
+    # far above any task count here.  With one-word tiles each route
+    # makes exactly one pool; with the default tile both fit one task and
+    # run inline.
     code = agcode.build_code(field_for_q(4), 3)
     methods = ("exhaustive", "reduced")
     base = {method: weight_enumerator(code, method, jobs=1).counts for method in methods}
     monkeypatch.setattr(weights, "_ENUMERATORS", {})
+    monkeypatch.setattr(RecordingPool, "pools", [])
     monkeypatch.setattr(weights, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(weights, "_CHUNK_ELEMS", 1)
     for method in methods:
         weights._ENUMERATORS.clear()
         assert weight_enumerator(code, method, jobs=1000).counts == base[method]
-    assert pools
-    for pool in pools:
-        chunks = sum(len(part) for part in pool.parts)
-        assert 2 <= pool.max_workers <= chunks
-        assert len(pool.parts) == pool.max_workers
-        assert all(len(part) > 0 for part in pool.parts)
+    assert RecordingPool.pools == []
+    monkeypatch.setattr(weights, "_TILE_WORDS", 1)
+    for method in methods:
+        weights._ENUMERATORS.clear()
+        assert weight_enumerator(code, method, jobs=1000).counts == base[method]
+    assert len(RecordingPool.pools) == len(methods)
+    for pool in RecordingPool.pools:
+        assert 2 <= pool.max_workers <= len(pool.tasks)
+        assert all(len(task) > 0 for task in pool.tasks)
 
 
 def test_enumerator_bookkeeping():
@@ -312,8 +409,8 @@ def test_enumerator_bookkeeping():
 
 
 def test_jobs_do_not_change_counts(monkeypatch):
-    # q = 4 has p = 2, q = 5 odd p.  A one-element chunk budget splits
-    # every box into one task per left column.
+    # q = 4 has p = 2, q = 5 odd p.  One-word tiles split every box into
+    # one task per left column.
     monkeypatch.setattr(weights, "_ENUMERATORS", {})
     for q in (4, 5):
         code = agcode.build_code(field_for_q(q), 3)
@@ -321,7 +418,7 @@ def test_jobs_do_not_change_counts(monkeypatch):
             weights._ENUMERATORS.clear()
             base = weight_enumerator(code, method, jobs=1).counts
             with monkeypatch.context() as patch:
-                patch.setattr(weights, "_CHUNK_ELEMS", 1)
+                patch.setattr(weights, "_TILE_WORDS", 1)
                 for jobs in (1, 2, 8):
                     weights._ENUMERATORS.clear()
                     assert weight_enumerator(code, method, jobs=jobs).counts == base

@@ -11,19 +11,20 @@ Statuses:
 * ``skipped(hypothesis)`` -- the claim's stated range excludes this q;
   the observation is still recorded in the detail.
 
-Brute-force enumeration is the arbiter throughout.  At q <= 5 (and for
-the q = 7 cubic code) the reduced enumerator is never trusted alone:
-the exhaustive one must agree exactly before any claim is judged.  That
-agreement checks the reduced route's orbit bookkeeping, not the kernel
-or the monomial rows that both routes share; those have their own oracle
-tests.  Equality across orbit choices is settled by ``build_code``, which
-proves every orbit's code equal to the one monomial code enumerated.
+Brute-force enumeration is the arbiter throughout.  Wherever the message
+space is at most CROSS_CHECK_LIMIT the reduced enumerator is never
+trusted alone: the exhaustive one must agree exactly before any claim is
+judged.  That agreement checks the reduced route's orbit bookkeeping,
+not the kernel or the monomial rows that both routes share; those have
+their own oracle tests.  Equality across orbit choices is settled by
+``build_code``, which proves every orbit's code equal to the one
+monomial code enumerated.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,6 +39,9 @@ SUITE_QS = (3, 4, 5, 7, 8)
 # (q, m) pairs whose full weight enumerator is computed in the suite.
 ENUMERABLE = {(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (8, 2), (8, 3)}
 
+# Message spaces up to this size are enumerated by both routes.
+CROSS_CHECK_LIMIT = 1 << 23
+
 
 @dataclass
 class ClaimReport:
@@ -49,14 +53,7 @@ class ClaimReport:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "params": self.params,
-            "expected": self.expected,
-            "observed": self.observed,
-            "status": self.status,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _judge(claim_id: str, params: dict, expected, observed, detail: str = "") -> ClaimReport:
@@ -70,18 +67,15 @@ def code_for(q: int, m: int) -> agcode.LinearCode:
 
 
 def checked_enumerator(code: agcode.LinearCode, jobs: int | None = None) -> weights.WeightEnumerator:
-    """Enumerator with the cross-check policy: wherever the exhaustive
-    route is feasible for a small-q code, run both routes and insist on
-    exact agreement."""
-    q, k = code.q, code.k
-    space = code.field.order**k
-    cross_check = q <= 5 or (q == 7 and code.m == 3)
-    if cross_check and space <= weights.EXHAUSTIVE_GUARD:
+    """Enumerator with the cross-check policy: wherever the message space
+    is at most CROSS_CHECK_LIMIT, run both routes and insist on exact
+    agreement."""
+    if code.field.order**code.k <= CROSS_CHECK_LIMIT:
         ex = weight_enumerator(code, "exhaustive", jobs)
         red = weight_enumerator(code, "reduced", jobs)
         if ex != red:
             raise RuntimeError(
-                f"enumerator mismatch at q={q}, m={code.m}: "
+                f"enumerator mismatch at q={code.q}, m={code.m}: "
                 f"exhaustive {ex.counts} vs reduced {red.counts}"
             )
         return ex

@@ -31,16 +31,16 @@ negated, so a word has a zero wherever neg(left) == right.  A tile, some
 left columns against all right columns, about _TILE_WORDS words, adds
 each symbol's comparison in place into its uint8 zero counts (or makes
 one comparison over all symbols while that mask is cache-sized), and
-bincounts them two per uint16.  All boxes of an enumeration share one
-task list, consecutive tiles filling a task of about _TILE_WORDS words;
-a box is folded at its first tile and dropped after its last.  Counts
-merge by integer addition, so any tiling and worker count agree.
+bincounts them two per uint16.  Boxes run one at a time, with no task
+list shared between them: a box is folded in the calling thread, and its
+tiles, of equal width, run inline at one worker or when the box is one
+tile, else through the enumeration's one thread pool.  Counts merge by
+integer addition, so any tiling and worker count agree.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from math import gcd, prod
@@ -107,20 +107,6 @@ def default_jobs() -> int:
     return int(env)
 
 
-def _run_tasks(tasks: list, tile, jobs: int) -> np.ndarray:
-    """Sum of tile(*piece) over the pieces of all tasks.  w = min(jobs,
-    len(tasks)) workers take the tasks in order, each the next one as it
-    frees up, so none idles while tasks remain; w = 1 runs them inline."""
-    def run(task) -> np.ndarray:
-        return sum(tile(*piece) for piece in task)
-
-    workers = min(jobs, len(tasks))
-    if workers < 2:
-        return sum(map(run, tasks))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(run, tasks))
-
-
 # -- the product-box kernel --------------------------------------------
 
 
@@ -147,46 +133,40 @@ def _histogram(flat: np.ndarray, n: int) -> np.ndarray:
 def _box_counts(field: Field, boxes, jobs: int) -> np.ndarray:
     """Sum over the (factors, weight) boxes of weight times the weight counts
     of every word r_1 + ... + r_s, r_i a row of the d_i x n table factors[i]."""
-    n = boxes[0][0][0].shape[1]
     add = field.add_table.astype(np.uint8)
-    remaining, tasks, task, words = [], [], [], 0
-    for b, (factors, _) in enumerate(boxes):
-        sizes = [table.shape[0] for table in factors]
-        h = min(range(len(sizes) + 1),
-                key=lambda h: (max(prod(sizes[:h]), prod(sizes[h:])), prod(sizes[h:])))
-        left, right = prod(sizes[:h]), prod(sizes[h:])
-        cols = max(1, _TILE_WORDS // right)
-        remaining.append(-(-left // cols))
-        for lo in range(0, left, cols):
-            task.append((b, h, lo, lo + cols))
-            words += min(cols, left - lo) * right
-            if words >= _TILE_WORDS:
-                tasks.append(task)
-                task, words = [], 0
-    tasks += [task] if task else []
-    folds, locks = {}, [threading.Lock() for _ in boxes]
+    counts = np.zeros(boxes[0][0][0].shape[1] + 1, dtype=np.int64)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        for factors, weight in boxes:
+            counts += weight * _tiled_box(field, add, factors, map if jobs == 1 else pool.map)
+    return counts
 
-    def tile(b, h, lo, hi):
-        with locks[b]:  # fold a box at its first tile, drop it at its last
-            if b not in folds:
-                factors = boxes[b][0]
-                folds[b] = (_fold(add, [field.neg_table[t] for t in factors[:h]], n)[:, :, None],
-                            _fold(add, factors[h:], n))
-            neg_left, right = folds[b]
-            remaining[b] -= 1
-            if not remaining[b]:
-                del folds[b]
-        neg_left = neg_left[:, lo:hi]
-        if n * neg_left.shape[1] * right.shape[1] <= 8 * _TILE_WORDS:  # fits a core's L2
-            zeros = (neg_left == right[:, None, :]).view(np.uint8).sum(axis=0, dtype=np.uint8)
+
+def _tiled_box(field: Field, add: np.ndarray, factors, pool_map) -> np.ndarray:
+    """Weight counts of one box: its two halves folded here, its tiles
+    run by ``pool_map``, or inline when the box is one tile.  The folds
+    are dropped on return, so one box's folds are alive at a time."""
+    n = factors[0].shape[1]
+    sizes = [table.shape[0] for table in factors]
+    h = min(range(len(sizes) + 1),
+            key=lambda h: (max(prod(sizes[:h]), prod(sizes[h:])), prod(sizes[h:])))
+    neg_left = _fold(add, [field.neg_table[t] for t in factors[:h]], n)[:, :, None]
+    right = _fold(add, factors[h:], n)
+    left = neg_left.shape[1]
+    tiles = -(-left // max(1, _TILE_WORDS // right.shape[1]))
+    width = -(-left // tiles)  # equal widths, none over the cap
+
+    def tile(lo: int) -> np.ndarray:
+        block = neg_left[:, lo:lo + width]
+        if n * block.shape[1] * right.shape[1] <= 8 * _TILE_WORDS:  # fits a core's L2
+            zeros = (block == right[:, None, :]).view(np.uint8).sum(axis=0, dtype=np.uint8)
         else:
-            equal = neg_left[0] == right[0]
+            equal = block[0] == right[0]
             zeros = np.zeros_like(equal, dtype=np.uint8)
-            for col, row in zip(neg_left, right):
+            for col, row in zip(block, right):
                 zeros += np.equal(col, row, out=equal).view(np.uint8)
-        return boxes[b][1] * _histogram(zeros.ravel(), n)[::-1]
+        return _histogram(zeros.ravel(), n)[::-1]
 
-    return _run_tasks(tasks, tile, jobs)
+    return sum((map if tiles == 1 else pool_map)(tile, range(0, left, width)))
 
 
 # -- exhaustive route ---------------------------------------------------
@@ -224,7 +204,8 @@ def _reduced_counts(field: Field, exponents, jobs: int) -> np.ndarray:
     rows = agcode.monomial_rows(field, exponents)
     k, n = rows.shape  # n = Q - 1 is also the modulus of the logs
 
-    mul = field.mul_table.astype(np.uint8)
+    # scaled[t, j] = omega^j * row t; a support's tables are prefixes of these.
+    scaled = field.mul_table.astype(np.uint8)[field.exp_table[:n, None], rows[:, None, :]]
     boxes, total_reps = [], 0  # (factors, orbit size) per support
     for mask in range(1, 1 << k):
         coords = tuple(t for t in range(k) if (mask >> t) & 1)
@@ -239,8 +220,7 @@ def _reduced_counts(field: Field, exponents, jobs: int) -> np.ndarray:
                 f"reduced enumeration needs more than {_REDUCED_REPS_GUARD} "
                 "representatives; the code is too large to enumerate"
             )
-        boxes.append(([mul[np.ix_(field.exp_table[:d], rows[t])] for t, d in zip(coords, diag)],
-                      orbit_size))
+        boxes.append(([scaled[t, :d] for t, d in zip(coords, diag)], orbit_size))
 
     counts = _box_counts(field, boxes, jobs)
     counts[0] += 1  # zero message
@@ -405,9 +385,7 @@ def roots_of_lacunary(field: Field, kind: str, *, a: int | None = None,
     if kind == "general":
         if a is None or b is None:
             raise ValueError("general form needs coefficients a and b")
-        terms = {q + 1: 1}
-        _add_term(field, terms, 1, a)
-        _add_term(field, terms, 0, b)
+        terms = {q + 1: 1, 1: a, 0: b}
         roots = _scan_roots(field, terms)
     elif kind == "scaled":
         if b0 is None or b1 is None or b2 is None or tau is None:
@@ -415,9 +393,7 @@ def roots_of_lacunary(field: Field, kind: str, *, a: int | None = None,
         lead = field.mul(tau, b2)
         if lead == 0:
             raise ValueError("scaled form is degenerate: tau*b2 = 0")
-        terms = {q + 1: lead}
-        _add_term(field, terms, 1, b1)
-        _add_term(field, terms, 0, b0)
+        terms = {q + 1: lead, 1: b1, 0: b0}
         roots = _scan_roots(field, terms)
     elif kind == "shifted":
         if b1 is None or tau is None:
@@ -430,11 +406,6 @@ def roots_of_lacunary(field: Field, kind: str, *, a: int | None = None,
     else:
         raise ValueError(f"unknown lacunary kind {kind!r}")
     return len(roots), roots
-
-
-def _add_term(field: Field, terms: dict[int, int], e: int, c: int) -> None:
-    if c:
-        terms[e] = field.add(terms.get(e, 0), c)
 
 
 def _scan_roots(field: Field, terms: dict[int, int]) -> tuple[int, ...]:

@@ -3,9 +3,10 @@ and report plumbing."""
 
 import json
 
+import numpy as np
 import pytest
 
-from hermicode import agcode, verify
+from hermicode import agcode, verify, weights
 from hermicode.gf import field_for_q
 from hermicode.curve import all_orbit_specs, canonical_orbit_spec, orbit_of
 
@@ -113,6 +114,24 @@ def test_orbit_choice_claim_rests_on_build_code(monkeypatch):
     monkeypatch.setattr(agcode, "orbit_of", tampered)
     with pytest.raises(RuntimeError, match="shift"):
         verify.check_orbit_choice_enumerators(3)
+
+
+def test_cross_check_catches_a_tampered_reduced_route(monkeypatch):
+    # (8, 2) has 4,096 messages, under CROSS_CHECK_LIMIT, so both routes
+    # run and a reduced route that moves one word between weights is caught.
+    real = weights._reduced_counts
+
+    def tampered(field, exponents, jobs):
+        counts = real(field, exponents, jobs)
+        top = np.flatnonzero(counts)[-1]
+        counts[top] -= 1
+        counts[top - 1] += 1
+        return counts
+
+    monkeypatch.setattr(weights, "_ENUMERATORS", {})
+    monkeypatch.setattr(weights, "_reduced_counts", tampered)
+    with pytest.raises(RuntimeError, match="enumerator mismatch at q=8, m=2"):
+        verify.checked_enumerator(verify.code_for(8, 2))
 
 
 def test_exit_status():

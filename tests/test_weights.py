@@ -7,6 +7,7 @@ distributions against their closed forms."""
 import itertools
 import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -111,12 +112,12 @@ def test_box_kernel_random_differential(monkeypatch, q, n, sizes):
 
 
 class RecordingPool:
-    """Stand-in for the thread pool: records its workers and the tasks
-    it is given, and runs them in the calling thread."""
+    """Stand-in for the thread pool: records its workers and the tile
+    count of each map, and runs the tiles in the calling thread."""
     pools: list = []
 
     def __init__(self, max_workers):
-        self.max_workers, self.tasks = max_workers, []
+        self.max_workers, self.maps = max_workers, []
         RecordingPool.pools.append(self)
 
     def __enter__(self):
@@ -125,9 +126,10 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        self.tasks = list(tasks)
-        return [fn(task) for task in self.tasks]
+    def map(self, fn, tiles):
+        tiles = list(tiles)
+        self.maps.append(len(tiles))
+        return [fn(tile) for tile in tiles]
 
 
 def _random_boxes(field, seed):
@@ -143,11 +145,15 @@ def _random_boxes(field, seed):
 
 
 def test_box_list_sums_the_weighted_boxes(monkeypatch):
-    # Random boxes at q = 5 and q = 8.  A 16-word tile packs the small
-    # boxes into shared tasks and spreads the large ones over several;
-    # 50 words and the default tile pack them differently.
-    monkeypatch.setattr(RecordingPool, "pools", [])
+    # Random boxes at q = 5 and q = 8.  A 16-word tile cuts the large
+    # boxes into several tiles and leaves the small ones whole; 50 words
+    # cut them differently, and every box fits one default tile.  Each box
+    # runs as one inline tile or as one map over the pool, and jobs = 1
+    # never uses the pool.
     monkeypatch.setattr(weights, "ThreadPoolExecutor", RecordingPool)
+    tiles = []
+    histogram = weights._histogram
+    monkeypatch.setattr(weights, "_histogram", lambda *a: tiles.append(1) or histogram(*a))
     default = weights._TILE_WORDS
     for q in (5, 8):
         field = field_for_q(q)
@@ -155,14 +161,19 @@ def test_box_list_sums_the_weighted_boxes(monkeypatch):
         for tile in (16, 50, default):
             monkeypatch.setattr(weights, "_TILE_WORDS", tile)
             for jobs in (1, 2, 3):
-                RecordingPool.pools.clear()
+                monkeypatch.setattr(RecordingPool, "pools", [])
+                tiles.clear()
                 assert np.array_equal(weights._box_counts(field, boxes, jobs), expected)
-                # One pool at most; all boxes fit one default tile, which runs inline.
-                assert len(RecordingPool.pools) == (jobs > 1 and tile != default)
-            if tile == 16:
-                tasks = [[b for b, *_ in task] for task in RecordingPool.pools[0].tasks]
-                assert any(len(set(task)) > 1 for task in tasks)
-                assert any(sum(b in task for task in tasks) > 1 for b in range(len(boxes)))
+                (pool,) = RecordingPool.pools
+                assert pool.max_workers == jobs
+                assert all(size >= 2 for size in pool.maps)
+                if jobs == 1:
+                    assert pool.maps == [] and len(tiles) >= len(boxes)
+                    inline = len(tiles)
+                else:
+                    assert len(tiles) == inline
+                    assert len(pool.maps) + len(tiles) - sum(pool.maps) == len(boxes)
+                    assert bool(pool.maps) == (tile != default)
 
 
 def test_boxes_are_folded_when_their_tiles_are_reached(monkeypatch):
@@ -195,8 +206,8 @@ def test_boxes_are_folded_when_their_tiles_are_reached(monkeypatch):
 
 
 def test_threads_fold_each_box_once(monkeypatch):
-    # More workers than cores and a short switch interval: a race on the
-    # shared table of folded boxes would fold some box twice.
+    # More workers than cores and a short switch interval: each box must
+    # still be folded once, whatever the workers interleave.
     field = field_for_q(5)
     boxes, expected = _random_boxes(field, 95)
     calls = []
@@ -324,7 +335,7 @@ def test_routes_agree_on_random_exponent_sets(monkeypatch):
         assert np.array_equal(weights._reduced_counts(f, exponents, 1), exhaustive), \
             (f.q, exponents)
         counts.append(exhaustive)
-    # One-word tiles: every left column is its own tile and task.
+    # One-word tiles: every left column is its own tile.
     monkeypatch.setattr(weights, "_TILE_WORDS", 1)
     small = [i for i, (f, e) in enumerate(cases) if f.order**len(e) <= 1 << 12][::4]
     assert len(small) >= 10
@@ -376,29 +387,51 @@ def test_transversal_matches_hnf_diagonal():
             assert weights._transversal(logs, big_n) == expected, (big_n, logs)
 
 
+class CountingPool(ThreadPoolExecutor):
+    """A real thread pool that records the tile count of each map and
+    how many threads it started."""
+    pools: list = []
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers=max_workers)
+        self.maps, self.threads = [], None
+        CountingPool.pools.append(self)
+
+    def map(self, fn, tiles):
+        tiles = list(tiles)
+        self.maps.append(len(tiles))
+        return super().map(fn, tiles)
+
+    def __exit__(self, *exc):
+        self.threads = len(self._threads)
+        return super().__exit__(*exc)
+
+
 def test_workers_are_capped_at_the_chunk_count(monkeypatch):
-    # The recording pool runs every task in this thread; jobs = 1000 is
-    # far above any task count here.  With one-word tiles each route
-    # makes exactly one pool; with the default tile both fit one task and
-    # run inline.
+    # jobs = 1000 is far above any box's tile count.  The pool starts a
+    # thread only for a tile that finds none idle, and a box's tiles all
+    # finish before the next box's start, so no more threads start than
+    # the largest box has tiles.  With the default tile every box of
+    # q = 4, m = 3 is one tile and runs inline; 2^12 words cut the
+    # exhaustive box into 16 tiles, 2^6 words the largest reduced box into 4.
     code = agcode.build_code(field_for_q(4), 3)
-    methods = ("exhaustive", "reduced")
+    methods = {"exhaustive": 1 << 12, "reduced": 1 << 6}
     base = {method: weight_enumerator(code, method, jobs=1).counts for method in methods}
     monkeypatch.setattr(weights, "_ENUMERATORS", {})
-    monkeypatch.setattr(RecordingPool, "pools", [])
-    monkeypatch.setattr(weights, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(CountingPool, "pools", [])
+    monkeypatch.setattr(weights, "ThreadPoolExecutor", CountingPool)
     for method in methods:
         weights._ENUMERATORS.clear()
         assert weight_enumerator(code, method, jobs=1000).counts == base[method]
-    assert RecordingPool.pools == []
-    monkeypatch.setattr(weights, "_TILE_WORDS", 1)
-    for method in methods:
+    assert [(pool.maps, pool.threads) for pool in CountingPool.pools] == [([], 0)] * 2
+    CountingPool.pools.clear()
+    for method, tile in methods.items():
+        monkeypatch.setattr(weights, "_TILE_WORDS", tile)
         weights._ENUMERATORS.clear()
         assert weight_enumerator(code, method, jobs=1000).counts == base[method]
-    assert len(RecordingPool.pools) == len(methods)
-    for pool in RecordingPool.pools:
-        assert 2 <= pool.max_workers <= len(pool.tasks)
-        assert all(len(task) > 0 for task in pool.tasks)
+    assert [max(pool.maps) for pool in CountingPool.pools] == [16, 4]
+    for pool in CountingPool.pools:
+        assert 1 <= pool.threads <= max(pool.maps)
 
 
 def test_enumerator_bookkeeping():
@@ -410,7 +443,7 @@ def test_enumerator_bookkeeping():
 
 def test_jobs_do_not_change_counts(monkeypatch):
     # q = 4 has p = 2, q = 5 odd p.  One-word tiles split every box into
-    # one task per left column.
+    # one tile per left column.
     monkeypatch.setattr(weights, "_ENUMERATORS", {})
     for q in (4, 5):
         code = agcode.build_code(field_for_q(q), 3)

@@ -16,6 +16,8 @@ off row and column 0.  omega is the smallest element whose powers first
 return to 1 at q^2 - 1.  Both choices are fixed, so encodings, point
 orderings and generator matrices are reproducible across runs, and the
 enumeration code works on flat numpy integer arrays.
+
+Addition is digit-wise mod p: per pair in ``add_table``, in bulk in ``combine``.
 """
 
 from __future__ import annotations
@@ -117,6 +119,7 @@ class Field:
         self.log_table = log
 
         # Addition is digit-wise mod p in the polynomial basis.
+        self._digits, self._places = digits.astype(np.uint8), weights
         sums = (digits[:, None, :] + digits[None, :, :]) % p
         self.add_table = (sums * weights).sum(axis=2).astype(np.int16)
         self.neg_table = ((digits * (p - 1)) % p * weights).sum(axis=1).astype(np.int16)
@@ -155,6 +158,15 @@ class Field:
             raise ZeroDivisionError("0 cannot be raised to a negative power")
         n = self.order - 1
         return int(self.exp_table[(int(self.log_table[a]) * e) % n])
+
+    def combine(self, coefs, rows) -> np.ndarray:
+        """Sum over t of coefs[..., t] * rows[t] for (k, n) ``rows``, as int64
+        encodings: one product gather, then the products' base-p digits
+        summed mod p (XOR for p = 2).  No terms give zeros."""
+        products = self.mul_table[np.asarray(coefs, dtype=np.int64)[..., None], rows]
+        # take() copies whole digit rows, many times faster than indexing here.
+        sums = np.take(self._digits, products, axis=0).sum(axis=-3, dtype=np.int32) % self.p
+        return sums @ self._places
 
     def frobenius(self, a: int) -> int:
         return int(self.frobenius_table[a])

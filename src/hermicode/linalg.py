@@ -1,8 +1,8 @@
 """Small dense linear algebra over the code alphabet.
 
 Matrices are lists of lists of encodings, or integer arrays of them, with
-at most 58 rows (check_cyclic stacks the k <= 29 generator rows of q=9,
-m=8 on their shifts) and n = q^2 - 1 <= 80 columns.  Elimination works
+at most 58 rows (check_cyclic's fallback stacks k <= 29 generator rows,
+q=9, m=8, on their shifts) and n = q^2 - 1 <= 80 columns.  Elimination works
 on whole arrays through the field's add/mul/neg/inv tables.
 """
 

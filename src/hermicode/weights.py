@@ -31,11 +31,11 @@ negated, so a word has a zero wherever neg(left) == right.  A tile, some
 left columns against all right columns, about _TILE_WORDS words, adds
 each symbol's comparison in place into its uint8 zero counts (or makes
 one comparison over all symbols while that mask is cache-sized), and
-bincounts them two per uint16.  Boxes run one at a time, with no task
-list shared between them: a box is folded in the calling thread, and its
-tiles, of equal width, run inline at one worker or when the box is one
-tile, else through the enumeration's one thread pool.  Counts merge by
-integer addition, so any tiling and worker count agree.
+bincounts them, two per uint16 in a large tile.  Boxes run one at a
+time, with no task list shared between them: a box is folded in the
+calling thread, and its equal-width tiles run inline at one worker or
+when the box is one tile, else through the enumeration's one thread
+pool.  Counts merge by integer addition, so tilings and workers agree.
 """
 
 from __future__ import annotations
@@ -121,8 +121,11 @@ def _fold(add: np.ndarray, tables: list[np.ndarray], n: int) -> np.ndarray:
 
 
 def _histogram(flat: np.ndarray, n: int) -> np.ndarray:
-    """Counts of 0..n in the flat uint8 array from one bincount of its uint16
-    view: a + 256*b counts a and b, so byte order does not matter."""
+    """Counts of 0..n in the flat uint8 array.  From 512*(n+1) words on, one
+    bincount of its uint16 view, a + 256*b counting a and b, so byte order
+    does not matter; below that its 256*(n+1) bins cost more than they save."""
+    if flat.size < 512 * (n + 1):
+        return np.bincount(flat, minlength=n + 1)
     pairs = np.bincount(flat[:flat.size & ~1].view(np.uint16), minlength=256 * (n + 1))
     pairs = pairs.reshape(n + 1, 256)
     hist = pairs[:, :n + 1].sum(axis=0) + pairs.sum(axis=1)
@@ -333,11 +336,12 @@ def orbit_zero_polynomial(code: LinearCode, msg) -> dict[int, int]:
     exactly the orbit x-coordinates where the message's function
     vanishes: substitute y = tau*x^(q+1), divide by x^m."""
     agcode.check_message(code, msg)
-    field, tau = code.field, code.spec.tau
+    field = code.field
     # x^a * y^b becomes tau^b * x^e; the exponents e_t are distinct and
     # tau != 0, so no two terms merge and no nonzero term vanishes.
-    return {int(e): field.mul(coef, field.pow(tau, int(b)))
-            for coef, e, b in zip(msg, code.exponents, code.powers[:, 1]) if coef}
+    tau_b = field.exp_table[field.log_table[code.spec.tau] * code.powers[:, 1] % (field.order - 1)]
+    coefs = field.mul_table[np.asarray(msg, dtype=np.int64), tau_b].tolist()
+    return {e: c for e, c in zip(code.exponents.tolist(), coefs) if c}
 
 
 def zero_count_via_roots(code: LinearCode, msg) -> int:
@@ -355,10 +359,7 @@ def _poly_values(field: Field, terms: dict[int, int]) -> np.ndarray:
     powers = np.empty((len(terms), field.order), dtype=np.int64)
     powers[:, 0] = exps == 0
     powers[:, 1:] = field.exp_table[np.outer(exps, field.log_table[1:]) % (field.order - 1)]
-    acc = np.zeros(field.order, dtype=np.int64)
-    for row in field.mul_table[coefs[:, None], powers]:
-        acc = field.add_table[acc, row]
-    return acc
+    return field.combine(coefs, powers)
 
 
 # -- sparse (lacunary) polynomial root counts -----------------------------

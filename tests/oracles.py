@@ -1,8 +1,11 @@
 """Slow, independent oracles that the tests compare the library against:
 point-by-point evaluation of a function of the space (functions as
 coefficient vectors, as in ``hermicode.rrspace``), the intersection
-multiplicity of the two curves at the origin, and the integer Hermite
-normal form whose diagonal the reduced route reads off a gcd chain."""
+multiplicity of the two curves at the origin, the integer Hermite
+normal form whose diagonal the reduced route reads off a gcd chain, and
+linear combinations of rows through the add and mul tables."""
+
+import numpy as np
 
 from hermicode.rrspace import monomials
 
@@ -69,3 +72,13 @@ def hnf_diagonal(rows, s, modulus):
         diag.append(mat[top][col])
         top += 1
     return diag
+
+
+def table_combination(field, coefs, rows):
+    """Sum over t of coefs[..., t] * rows[t], one mul-table and one
+    add-table lookup per term, for ``Field.combine`` to match."""
+    coefs, rows = np.asarray(coefs, dtype=np.int64), np.asarray(rows, dtype=np.int64)
+    acc = np.zeros(coefs.shape[:-1] + rows.shape[1:], dtype=np.int64)
+    for t, row in enumerate(rows):
+        acc = field.add_table[acc, field.mul_table[coefs[..., t, None], row]]
+    return acc

@@ -5,7 +5,7 @@ read off E), and the export schema."""
 
 import numpy as np
 import pytest
-from oracles import evaluate
+from oracles import evaluate, table_combination
 
 from hermicode import agcode, linalg, rrspace
 from hermicode.agcode import LinearCode, build_code, check_cyclic, encode
@@ -105,6 +105,71 @@ def test_all_ones_row_is_shift_closed():
     ones = np.ones((1, code.n), dtype=np.int16)
     fixture = LinearCode(f, 2, code.spec, ones)
     assert check_cyclic(fixture)
+
+
+def _counting_rank(monkeypatch):
+    calls = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda *a: calls.append(1) or rank(*a))
+    return calls
+
+
+def test_every_built_code_is_certified_without_rank(monkeypatch):
+    # Every (q, orbit, m) of the catalog: the monomial rows are shift
+    # eigenvectors with distinct eigenvalues, so no rank is computed.
+    calls = _counting_rank(monkeypatch)
+    for q in (3, 4, 5, 7, 8, 9):
+        f = field_for_q(q)
+        for spec in all_orbit_specs(f):
+            for m in range(2, q):
+                assert check_cyclic(build_code(f, m, spec)), (q, spec, m)
+    assert calls == []
+
+
+@pytest.mark.parametrize("q,m", [(4, 3), (5, 4), (9, 8)])
+def test_cyclic_code_in_a_non_eigen_basis_takes_the_rank_path(monkeypatch, q, m):
+    # A * G for a random invertible A spans the same cyclic code, but its
+    # rows are not shift eigenvectors.
+    f = field_for_q(q)
+    code = build_code(f, m)
+    rng = np.random.default_rng([19, q, m])
+    mix = rng.integers(0, f.order, (code.k, code.k))
+    while linalg.rank(f, mix) < code.k:
+        mix = rng.integers(0, f.order, (code.k, code.k))
+    calls = _counting_rank(monkeypatch)
+    assert check_cyclic(LinearCode(f, m, code.spec, table_combination(f, mix, code.gen)))
+    assert len(calls) == 2
+
+
+def test_repeated_eigenvalue_is_not_cyclic():
+    # A row and twice that row: both are eigenrows, of one eigenvalue,
+    # and they span one dimension where k = 2.
+    f = field_for_q(3)
+    code = build_code(f, 2)
+    gen = np.stack([code.gen[1], f.mul_table[2, code.gen[1]]])
+    assert not check_cyclic(LinearCode(f, 2, code.spec, gen))
+
+
+def test_zero_row_goes_to_the_rank_path(monkeypatch):
+    # shift(0) = lambda * 0 for every lambda, so only the nonzero-row
+    # condition keeps the certificate off this generator of rank 1 < k.
+    f = field_for_q(3)
+    code = build_code(f, 2)
+    gen = code.gen.copy()
+    gen[0] = 0
+    calls = _counting_rank(monkeypatch)
+    assert not check_cyclic(LinearCode(f, 2, code.spec, gen))
+    assert calls
+
+
+def test_rank_deficient_generator_is_not_cyclic():
+    # e_0 and 2 e_0 span only {e_0}: stacked with their shifts they have
+    # rank 2 = k, but span{e_0} is not shift-closed.
+    f = field_for_q(3)
+    code = build_code(f, 2)
+    gen = np.zeros((2, code.n), dtype=np.int16)
+    gen[:, 0] = [1, 2]
+    assert not check_cyclic(LinearCode(f, 2, code.spec, gen))
 
 
 @pytest.mark.parametrize("q,m", GRID)

@@ -1,10 +1,13 @@
 """Field layer: table arithmetic against naive polynomial arithmetic,
-generator order, norm/trace structure."""
+linear combinations against the table loop, generator order, norm/trace
+structure."""
 
 import numpy as np
 import pytest
+from oracles import table_combination
 
 from hermicode import gf
+from hermicode.agcode import build_code
 from hermicode.gf import SUPPORTED_Q, field_for_q, make_field
 
 ALL_Q = sorted(SUPPORTED_Q)
@@ -79,6 +82,30 @@ def test_field_axioms_full_scan(q):
     assert np.array_equal(mul[a, add[b, c]].squeeze(), add[mul[a, b], mul[a, c]].squeeze())
     assert np.array_equal(add, add.T)
     assert np.array_equal(mul, mul.T)
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_combine_matches_the_table_loop(q):
+    # k = 29 is the dimension of the q = 9, m = 8 code, whose generator is
+    # the rows at q = 9; every coefficient array holds zeros.
+    f = field_for_q(q)
+    n = f.order - 1
+    rng = np.random.default_rng([41, q])
+    for k in (1, 4, 29):
+        rows = build_code(f, 8).gen if k == 29 and q == 9 else rng.integers(0, f.order, (k, n))
+        for shape in ((k,), (3, k), (2, 5, k)):
+            coefs = rng.integers(0, f.order, shape)
+            coefs[..., 0] = 0
+            coefs[rng.random(shape) < 0.3] = 0
+            got = f.combine(coefs, rows)
+            assert got.shape == shape[:-1] + (n,)
+            assert np.array_equal(got, table_combination(f, coefs, rows)), (k, shape)
+        assert f.combine(coefs[0, 0].tolist(), rows).tolist() \
+            == table_combination(f, coefs[0, 0], rows).tolist()
+    # No terms: the empty sum is the zero word, also for batched shapes.
+    assert np.array_equal(f.combine([], np.zeros((0, n), dtype=np.int16)), np.zeros(n))
+    assert np.array_equal(f.combine(np.zeros((4, 0), dtype=np.int64),
+                                    np.zeros((0, n), dtype=np.int16)), np.zeros((4, n)))
 
 
 @pytest.mark.parametrize("q", ALL_Q)

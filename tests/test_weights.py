@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from oracles import evaluate, hnf_diagonal
+from oracles import evaluate, hnf_diagonal, table_combination
 
 from hermicode import agcode, rrspace, weights
 from hermicode.agcode import encode
@@ -84,12 +84,16 @@ def test_box_kernel_matches_brute_force(q, sizes):
 
 # n = 1, 24 and 80 are the smallest symbol axis and the lengths at q = 5
 # and q = 9.  At n = 1 a 7-word tile is 2 left columns of 3 words over 9
-# left columns, the last tile partial; every 3-word tile and the 27-word
-# box have an odd tail in the uint16 view of their zero counts.  Tiles of
-# 1 and 7 words run n > 8 symbols one by one, the default tile compares
-# all symbols at once.
+# left columns, the last tile partial.  Tiles of 1 and 7 words run n > 8
+# symbols one by one, the default tile compares all symbols at once.
+# Every tile of the first four boxes is under 512 * (n + 1) words and
+# takes _histogram's plain bincount; the last box at the default tile is
+# one tile of 41 * 31 = 1,271 >= 1,024 words and takes the uint16 pair
+# bincount, with an odd tail, while its 31-word tiles at 1 and 7 words
+# take the plain one.
 @pytest.mark.parametrize("q,n,sizes", [
     (3, 1, (9, 1, 3)), (5, 24, (4, 3, 5, 2)), (9, 80, (3, 4, 2)), (9, 80, (6,)),
+    (3, 1, (41, 31)),
 ])
 def test_box_kernel_random_differential(monkeypatch, q, n, sizes):
     field = field_for_q(q)
@@ -109,6 +113,14 @@ def test_box_kernel_random_differential(monkeypatch, q, n, sizes):
         monkeypatch.setattr(weights, "_TILE_WORDS", tile)
         for jobs in (1, 2):
             assert np.array_equal(weights._box_counts(field, [(factors, 1)], jobs), expected)
+
+
+@pytest.mark.parametrize("n", [1, 24, 80])
+def test_histogram_branches_agree_at_their_boundary(n):
+    rng = np.random.default_rng([23, n])
+    for size in (1, 512 * (n + 1) - 1, 512 * (n + 1), 512 * (n + 1) + 1):
+        flat = rng.integers(0, n + 1, size).astype(np.uint8)
+        assert np.array_equal(weights._histogram(flat, n), np.bincount(flat, minlength=n + 1))
 
 
 class RecordingPool:
@@ -231,9 +243,7 @@ def _encode_scan(code):
     the messages, their codewords and the weight counts."""
     field = code.field
     msgs = np.indices((field.order,) * code.k).reshape(code.k, -1).T
-    words = np.zeros((len(msgs), code.n), dtype=np.int64)
-    for coefs, row in zip(msgs.T, code.gen):
-        words = field.add_table[words, field.mul_table[coefs[:, None], row]]
+    words = table_combination(field, msgs, code.gen)
     ws, counts = np.unique(np.count_nonzero(words, axis=1), return_counts=True)
     return msgs, words, dict(zip(ws.tolist(), counts.tolist()))
 

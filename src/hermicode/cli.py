@@ -21,7 +21,6 @@ from .curve import HermitianCurve, canonical_orbit_spec, orbit_of
 from .gf import SUPPORTED_Q, field_for_q
 
 EXIT_OK = 0
-EXIT_CLAIM_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_SIZE_GUARD = 3
 

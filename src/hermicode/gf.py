@@ -135,9 +135,6 @@ class Field:
     def add(self, a: int, b: int) -> int:
         return int(self.add_table[a, b])
 
-    def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
-
     def sub(self, a: int, b: int) -> int:
         return int(self.add_table[a, self.neg_table[b]])
 

@@ -114,7 +114,7 @@ def test_identities_and_inverses(q):
     for a in f.elements():
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
-        assert f.add(a, f.neg(a)) == 0
+        assert f.add(a, f.neg_table[a]) == 0
     for a in f.nonzero():
         assert f.mul(a, f.inv(a)) == 1
     with pytest.raises(ZeroDivisionError):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from hermicode import agcode, verify, weights
-from hermicode.gf import field_for_q
-from hermicode.curve import all_orbit_specs, canonical_orbit_spec, orbit_of
+from hermicode.gf import SUPPORTED_Q, field_for_q
+from hermicode.curve import all_orbit_specs, orbit_of
 
 
 def _by_id(claims):
@@ -22,10 +22,16 @@ def test_orbit_containment_passes(q):
     assert rep.observed == {"points_off_either_curve": 0}
 
 
-def test_orbit_containment_perturbed_tau_fails():
-    f = field_for_q(3)
-    tau = canonical_orbit_spec(f).tau
-    rep = verify.check_orbit_containment(3, tau=f.mul(tau, f.omega))
+def _perturb_tau(monkeypatch):
+    """Test every orbit against the companion curve of tau * omega."""
+    real = verify.on_c_tau
+    monkeypatch.setattr(verify, "on_c_tau",
+                        lambda f, tau, point: real(f, f.mul(tau, f.omega), point))
+
+
+def test_orbit_containment_perturbed_tau_fails(monkeypatch):
+    _perturb_tau(monkeypatch)
+    rep = verify.check_orbit_containment(3)
     assert rep.status == "fail"
     assert rep.observed["points_off_either_curve"] > 0
 
@@ -60,6 +66,9 @@ def test_cubic_claims_q5_exceptions():
     assert claims["m3.exception.q5.second-weight"].observed == 19
     assert claims["m3.second-weight.q5"].status == "skipped(hypothesis)"
     assert claims["m3.weight-variety.q5"].status == "pass"
+    # Below q = 8 the third-weight claim is skipped even where its bound holds.
+    assert claims["m3.third-weight.q5"].observed == {"third_ge_bound": True}
+    assert claims["m3.third-weight.q5"].status == "skipped(hypothesis)"
 
 
 def test_cubic_claims_q7():
@@ -71,6 +80,8 @@ def test_cubic_claims_q7():
     assert claims["m3.second-count.q7"].status == "skipped(hypothesis)"
     assert claims["m3.exception.q7.second-count"].status == "pass"
     assert claims["m3.exception.q7.second-count"].observed == 4992
+    assert claims["m3.third-weight.q7"].observed == {"third_ge_bound": True}
+    assert claims["m3.third-weight.q7"].status == "skipped(hypothesis)"
 
 
 def test_cubic_claims_q8_all_pass():
@@ -91,6 +102,16 @@ def test_characterization_statuses():
     rep5 = verify.check_min_weight_characterization(5)
     assert rep5.status == "paper-inconsistent"
     assert rep5.observed["count_at_min"] == 672
+
+
+def test_paper_inconsistent_only_at_the_documented_value(monkeypatch):
+    # The q = 5 count 672 is excused only because it is the documented
+    # exception; against any other documented value the same count fails.
+    monkeypatch.setattr(verify, "_Q5_MIN_COUNT", 673)
+    claims = _by_id(verify.checks_for(5, 3))
+    assert claims["m3.min-count.q5"].status == "fail"
+    assert claims["min-weight.characterization.q5"].status == "fail"
+    assert verify.exit_status(list(claims.values())) == 1
 
 
 def test_orbit_choice_observation():
@@ -134,11 +155,10 @@ def test_cross_check_catches_a_tampered_reduced_route(monkeypatch):
         verify.checked_enumerator(verify.code_for(8, 2))
 
 
-def test_exit_status():
+def test_exit_status(monkeypatch):
     passing = verify.check_code_parameters(3, 2)
-    failing = verify.check_orbit_containment(
-        3, tau=field_for_q(3).omega  # wrong curve for every orbit
-    )
+    _perturb_tau(monkeypatch)  # wrong curve for every orbit
+    failing = verify.check_orbit_containment(3)
     assert verify.exit_status([passing]) == 0
     assert verify.exit_status([passing, failing]) == 1
     inconsistent = verify.check_min_weight_characterization(5)
@@ -160,3 +180,12 @@ def test_checks_for_single_pair():
     assert "code.params.q4.m3" in ids
     assert "distance.bounds.q4.m3" in ids
     assert any(i.startswith("m3.distance") for i in ids)
+
+
+@pytest.mark.parametrize("q", sorted(SUPPORTED_Q))
+def test_checks_for_one_m_is_the_q_suite_restricted_to_m(q):
+    every = [c for c in verify.checks_for(q, None)
+             if not c.claim_id.startswith("orbit-choice.")]
+    for m in range(2, q):
+        ids = [c.claim_id for c in verify.checks_for(q, m)]
+        assert ids == [c.claim_id for c in every if c.params.get("m", m) == m]

@@ -1,6 +1,9 @@
 """Command-line surface: point listings, generator matrices, weight
 enumerators, claim verification, and the consolidated report.
 
+Each command returns (status, JSON, CSV lines), the JSON as a function;
+``main`` renders only the requested format and writes it to stdout or --out.
+
 All JSON output is canonical (sorted keys, compact separators) so that
 identical configurations produce byte-identical files; the only
 non-canonical field is elapsed_ms in the weights payload, which is
@@ -15,6 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
+from itertools import chain
 
 from . import verify, weights
 from .curve import HermitianCurve, canonical_orbit_spec, orbit_of
@@ -29,27 +34,6 @@ def _canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _add_common(sub, need_m: bool) -> None:
-    sub.add_argument("--q", type=int, required=True, choices=sorted(SUPPORTED_Q))
-    if need_m:
-        sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _check_m(q: int, m: int) -> None:
-    if not 2 <= m <= q - 1:
-        raise _Usage(f"m={m} out of range [2, {q - 1}] for q={q}")
-
-
 class _Usage(Exception):
     pass
 
@@ -60,7 +44,13 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _cmd_points(args) -> int:
+def _checked_m(args) -> int | None:
+    if args.m is not None and not 2 <= args.m <= args.q - 1:
+        raise _Usage(f"m={args.m} out of range [2, {args.q - 1}] for q={args.q}")
+    return args.m
+
+
+def _cmd_points(args):
     fld = field_for_q(args.q)
     curve = HermitianCurve(fld)
     spec = canonical_orbit_spec(fld)
@@ -69,97 +59,69 @@ def _cmd_points(args) -> int:
         "chord": curve.chord_points(),
         "orbit": orbit_of(spec),
     }
-    if args.format == "json":
-        payload = {
-            "q": args.q,
-            "p": fld.p,
-            "k_ext": fld.k,
-            "irreducible": list(fld.irreducible),
-            "omega": fld.omega,
-            "curve_points": [list(pt) for pt in sections["curve"]],
-            "chord": [list(pt) for pt in sections["chord"]],
-            "orbit": {
-                "u": spec.u,
-                "v": spec.v,
-                "tau": spec.tau,
-                "points": [list(pt) for pt in sections["orbit"]],
-            },
-        }
-        _emit(_canonical_json(payload), args.out)
-    else:
-        lines = ["section,x1,x2,x3"]
-        for name in ("curve", "chord", "orbit"):
-            lines += [f"{name},{p[0]},{p[1]},{p[2]}" for p in sections[name]]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    payload = {
+        "q": args.q,
+        "p": fld.p,
+        "k_ext": fld.k,
+        "irreducible": list(fld.irreducible),
+        "omega": fld.omega,
+        "curve_points": [list(pt) for pt in sections["curve"]],
+        "chord": [list(pt) for pt in sections["chord"]],
+        "orbit": {
+            "u": spec.u,
+            "v": spec.v,
+            "tau": spec.tau,
+            "points": [list(pt) for pt in sections["orbit"]],
+        },
+    }
+    lines = (f"{name},{p[0]},{p[1]},{p[2]}" for name, pts in sections.items() for p in pts)
+    return EXIT_OK, partial(_canonical_json, payload), chain(["section,x1,x2,x3"], lines)
 
 
-def _cmd_build(args) -> int:
-    _check_m(args.q, args.m)
-    code = verify.code_for(args.q, args.m)
-    if args.format == "json":
-        _emit(_canonical_json(code.export_dict()), args.out)
-    else:
-        _emit("\n".join(",".join(str(x) for x in row) for row in code.rows()) + "\n", args.out)
-    return EXIT_OK
+def _cmd_build(args):
+    code = verify.code_for(args.q, _checked_m(args))
+    lines = (",".join(str(x) for x in row) for row in code.rows())
+    return EXIT_OK, partial(_canonical_json, code.export_dict()), lines
 
 
-def _cmd_weights(args) -> int:
-    _check_m(args.q, args.m)
-    code = verify.code_for(args.q, args.m)
+def _cmd_weights(args):
+    code = verify.code_for(args.q, _checked_m(args))
     enum = weights.weight_enumerator(code, args.method, args.jobs)
-    if args.format == "json":
-        _emit(_canonical_json(enum.to_dict()), args.out)
-    else:
-        lines = ["weight,count"] + [f"{w},{c}" for w, c in enum.counts.items()]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    lines = (f"{w},{c}" for w, c in enum.counts.items())
+    return EXIT_OK, partial(_canonical_json, enum.to_dict()), chain(["weight,count"], lines)
 
 
-def _claims_csv(claims) -> str:
-    lines = ["claim_id,q,m,status,expected,observed"]
-    for c in claims:
-        q = c.params.get("q", "")
-        m = c.params.get("m", "")
-        exp = json.dumps(c.expected, sort_keys=True).replace(",", ";")
-        obs = json.dumps(c.observed, sort_keys=True).replace(",", ";")
-        lines.append(f"{c.claim_id},{q},{m},{c.status},{exp},{obs}")
-    return "\n".join(lines) + "\n"
+def _cmd_verify(args):
+    """The claims of the suite or of --q [--m]; report's JSON adds the tables."""
+    def cell(value) -> str:
+        return json.dumps(value, sort_keys=True).replace(",", ";")
 
-
-def _cmd_verify(args) -> int:
-    if args.suite == "all":
-        claims = verify.run_suite(jobs=args.jobs)
-    elif args.q is not None:
-        if args.m is not None:
-            _check_m(args.q, args.m)
-        claims = verify.checks_for(args.q, args.m, jobs=args.jobs)
-    else:
+    if args.suite is None and args.q is None:
         raise _Usage("verify needs --q (with optional --m) or --suite all")
-    if args.format == "json":
-        _emit(verify.claims_to_json(claims), args.out)
-    else:
-        _emit(_claims_csv(claims), args.out)
-    return verify.exit_status(claims)
+    if args.suite and (args.q is not None or args.m is not None):
+        raise _Usage("--suite all takes neither --q nor --m")
+    claims = (verify.run_suite(jobs=args.jobs) if args.suite
+              else verify.checks_for(args.q, _checked_m(args), jobs=args.jobs))
+    lines = (f"{c.claim_id},{c.params.get('q', '')},{c.params.get('m', '')},{c.status},"
+             f"{cell(c.expected)},{cell(c.observed)}" for c in claims)
+    lines = chain(["claim_id,q,m,status,expected,observed"], lines)
+    if args.command == "report":
+        return verify.exit_status(claims), partial(_report_json, claims, args.jobs), lines
+    return verify.exit_status(claims), partial(verify.claims_to_json, claims), lines
 
 
-def _cmd_report(args) -> int:
-    claims = verify.run_suite(jobs=args.jobs)
-    two_weight = []
-    for q in verify.SUITE_QS:
-        enum = verify.checked_enumerator(verify.code_for(q, 2), args.jobs)
-        two_weight.append({
-            "q": q,
-            "n": enum.n,
-            "k": enum.k,
-            "d": enum.min_distance,
-            "counts": {str(w): c for w, c in enum.counts.items()},
-        })
+def _report_json(claims, jobs: int) -> str:
+    enums = [verify.checked_enumerator(verify.code_for(q, 2), jobs) for q in verify.SUITE_QS]
+    two_weight = [{
+        "q": enum.q,
+        "n": enum.n,
+        "k": enum.k,
+        "d": enum.min_distance,
+        "counts": {str(w): c for w, c in enum.counts.items()},
+    } for enum in enums]
     cubic = []
-    for q in verify.SUITE_QS:
-        if q < 4:
-            continue
-        enum = verify.checked_enumerator(verify.code_for(q, 3), args.jobs)
+    for q in [q for q in verify.SUITE_QS if q >= 4]:
+        enum = verify.checked_enumerator(verify.code_for(q, 3), jobs)
         nz = enum.nonzero_weights()
         cubic.append({
             "q": q,
@@ -172,17 +134,12 @@ def _cmd_report(args) -> int:
             "third_weight": nz[2],
             "distinct_nonzero_weights": len(nz),
         })
-    payload = {
+    return _canonical_json({
         "qs": list(verify.SUITE_QS),
         "two_weight": two_weight,
         "cubic": cubic,
         "claims": [c.to_dict() for c in claims],
-    }
-    if args.format == "json":
-        _emit(_canonical_json(payload), args.out)
-    else:
-        _emit(_claims_csv(claims), args.out)
-    return verify.exit_status(claims)
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,50 +149,40 @@ def build_parser() -> argparse.ArgumentParser:
                     "enumerate weights, verify claims",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # Every option, declared once; each subcommand names the ones it takes.
+    declared = {
+        "--q": dict(type=int, choices=sorted(SUPPORTED_Q)),
+        "--m": dict(type=int),
+        "--suite": dict(choices=("all",)),
+        "--method": dict(choices=("auto", "exhaustive", "reduced"), default="auto"),
+        "--jobs": dict(type=_positive_int, help="worker threads (default: HERMICODE_JOBS or 1)"),
+        "--out": dict(help="output path (default stdout)"),
+        "--format": dict(choices=("json", "csv"), default="json"),
+    }
 
-    p_points = subs.add_parser("points", help="curve, chord and orbit point listings")
-    _add_common(p_points, need_m=False)
+    def command(name, func, help, options, required=("--q", "--m"), **defaults):
+        """Subcommand ``name`` taking ``options`` in order and running ``func``."""
+        sub = subs.add_parser(name, help=help)
+        for flag in options:
+            sub.add_argument(flag, required=flag in required, **declared[flag])
+        sub.set_defaults(func=func, **defaults)
 
-    p_build = subs.add_parser("build", help="generator matrix of the code")
-    _add_common(p_build, need_m=True)
-
-    p_weights = subs.add_parser("weights", help="exact weight enumerator")
-    _add_common(p_weights, need_m=True)
-    p_weights.add_argument("--method", choices=("auto", "exhaustive", "reduced"),
-                           default="auto")
-    p_weights.add_argument("--jobs", type=_positive_int, default=None,
-                           help="worker threads (default: HERMICODE_JOBS or 1)")
-
-    p_verify = subs.add_parser("verify", help="run claim checks")
-    p_verify.add_argument("--q", type=int, choices=sorted(SUPPORTED_Q))
-    p_verify.add_argument("--m", type=int)
-    p_verify.add_argument("--suite", choices=("all",), default=None)
-    p_verify.add_argument("--jobs", type=_positive_int, default=None)
-    p_verify.add_argument("--out", default=None)
-    p_verify.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p_report = subs.add_parser("report", help="consolidated weight-distribution report")
-    p_report.add_argument("--suite", choices=("all",), default="all")
-    p_report.add_argument("--jobs", type=_positive_int, default=None)
-    p_report.add_argument("--out", default=None)
-    p_report.add_argument("--format", choices=("json", "csv"), default="json")
-
+    command("points", _cmd_points, "curve, chord and orbit point listings",
+            ("--q", "--out", "--format"))
+    command("build", _cmd_build, "generator matrix of the code",
+            ("--q", "--m", "--out", "--format"))
+    command("weights", _cmd_weights, "exact weight enumerator",
+            ("--q", "--m", "--out", "--format", "--method", "--jobs"))
+    command("verify", _cmd_verify, "run claim checks",
+            ("--q", "--m", "--suite", "--jobs", "--out", "--format"), required=())
+    command("report", _cmd_verify, "consolidated weight-distribution report",
+            ("--suite", "--jobs", "--out", "--format"), suite="all", q=None, m=None)
     return parser
 
 
-_COMMANDS = {
-    "points": _cmd_points,
-    "build": _cmd_build,
-    "weights": _cmd_weights,
-    "verify": _cmd_verify,
-    "report": _cmd_report,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
@@ -244,13 +191,20 @@ def main(argv=None) -> int:
                 args.jobs = weights.default_jobs()
             except ValueError as exc:
                 raise _Usage(exc) from None
-        return _COMMANDS[args.command](args)
-    except _Usage as exc:
+        status, to_json, lines = args.func(args)
+        text = to_json() if args.format == "json" else "\n".join(lines) + "\n"
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise _Usage(f"cannot write --out: {exc}") from None
+        else:
+            sys.stdout.write(text)
+        return status
+    except (_Usage, weights.SizeGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except weights.SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_GUARD
+        return EXIT_USAGE if isinstance(exc, _Usage) else EXIT_SIZE_GUARD
 
 
 def console_main() -> None:

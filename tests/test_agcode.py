@@ -85,6 +85,28 @@ def test_encode_rejects_symbols_outside_the_field(symbol):
         encode(code, [symbol, 0])
 
 
+@pytest.mark.parametrize("msg", [[1.7, 0], [1, 0.0], np.array([1.5, 0.0]), ["1", 0], [None, 0]])
+def test_encode_rejects_non_integer_symbols(msg):
+    # combine casts to int64, so 1.7 used to encode as the symbol 1.
+    code = build_code(field_for_q(3), 2)
+    with pytest.raises(ValueError, match="are not integers"):
+        encode(code, msg)
+
+
+def test_encode_names_the_non_integer_symbols():
+    code = build_code(field_for_q(4), 3)
+    with pytest.raises(ValueError, match=r"\[1\.7, 2\.0\] are not integers"):
+        encode(code, [0, 1.7, 2.0, 3])
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64])
+def test_encode_accepts_numpy_integer_symbols(dtype):
+    code = build_code(field_for_q(3), 2)
+    assert encode(code, np.array([1, 2], dtype=dtype)) == encode(code, [1, 2])
+    with pytest.raises(ValueError, match="outside"):
+        encode(code, np.array([1, 9], dtype=dtype))
+
+
 @pytest.mark.parametrize("q,m", GRID)
 def test_cyclic(q, m):
     assert check_cyclic(build_code(field_for_q(q), m))

@@ -66,8 +66,7 @@ def test_weights_exhaustive_q5_m3():
 def test_weights_csv():
     rc, out, _ = run_cli(["weights", "--q", "3", "--m", "2", "--format", "csv"])
     assert rc == 0
-    assert out.splitlines()[0] == "weight,count"
-    assert "6,32" in out and "8,48" in out
+    assert out == "weight,count\n0,1\n6,32\n8,48\n"
 
 
 def test_weights_determinism_across_jobs():
@@ -102,6 +101,22 @@ def test_usage_errors_exit_2():
     assert run_cli(["build", "--q", "3", "--m", "5"])[0] == 2
     assert run_cli(["build", "--q", "6", "--m", "2"])[0] == 2  # unsupported q
     assert run_cli(["nonsense"])[0] == 2
+
+
+@pytest.mark.parametrize("command", ["build", "weights", "verify"])
+@pytest.mark.parametrize("m", [0, 1, 4])
+def test_m_out_of_range_is_a_usage_error(command, m):
+    rc, out, err = run_cli([command, "--q", "4", "--m", str(m)])
+    assert rc == 2 and out == ""
+    assert err == f"error: m={m} out of range [2, 3] for q=4\n"
+
+
+@pytest.mark.parametrize("extra", [["--q", "4"], ["--m", "9"], ["--q", "4", "--m", "9"]])
+def test_suite_all_with_q_or_m_is_a_usage_error(extra):
+    # The suite used to run whole and ignore them.
+    rc, out, err = run_cli(["verify", "--suite", "all"] + extra)
+    assert rc == 2 and out == ""
+    assert err == "error: --suite all takes neither --q nor --m\n"
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
@@ -164,6 +179,56 @@ def test_out_writes_file(tmp_path):
     rc, out, _ = run_cli(["build", "--q", "3", "--m", "2", "--out", str(target)])
     assert rc == 0 and out == ""
     assert json.loads(target.read_text())["n"] == 8
+
+
+def _without_elapsed(text):
+    return {k: v for k, v in json.loads(text).items() if k != "elapsed_ms"}
+
+
+@pytest.mark.parametrize("command", [["points", "--q", "3"], ["build", "--q", "4", "--m", "3"],
+                                     ["weights", "--q", "4", "--m", "3"],
+                                     ["verify", "--q", "4", "--m", "3"], ["report"]])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_out_writes_the_bytes_of_stdout(tmp_path, command, fmt):
+    target = tmp_path / "out"
+    argv = command + ["--format", fmt]
+    rc1, stdout, _ = run_cli(argv)
+    rc2, nothing, _ = run_cli(argv + ["--out", str(target)])
+    assert rc1 == rc2 == 0 and nothing == ""
+    written = target.read_bytes()
+    if command[0] == "weights" and fmt == "json":
+        # elapsed_ms is the one field that differs between two runs.
+        assert _without_elapsed(written) == _without_elapsed(stdout)
+    else:
+        assert written == stdout.encode()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_failed_out_write_is_a_usage_error(tmp_path, fmt):
+    # It used to end in a FileNotFoundError traceback with exit 1, the
+    # code of a failed claim.
+    target = tmp_path / "missing" / "x.json"
+    rc, out, err = run_cli(["build", "--q", "3", "--m", "2", "--format", fmt,
+                            "--out", str(target)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot write --out: ") and str(target) in err
+    assert not target.parent.exists()
+
+
+def test_only_the_requested_format_is_rendered(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "claims_to_json", lambda claims: calls.append(claims) or "[]\n")
+    rc, out, _ = run_cli(["verify", "--q", "3", "--m", "2", "--format", "csv"])
+    assert rc == 0 and out.startswith("claim_id,") and calls == []
+    rc, out, _ = run_cli(["verify", "--q", "3", "--m", "2"])
+    assert rc == 0 and out == "[]\n" and len(calls) == 1
+
+
+def test_report_csv_is_the_suite_csv():
+    rc1, report, _ = run_cli(["report", "--format", "csv", "--jobs", "1"])
+    rc2, suite, _ = run_cli(["verify", "--suite", "all", "--format", "csv", "--jobs", "2"])
+    assert rc1 == rc2 == 0
+    assert report == suite and report.startswith("claim_id,q,m,status,expected,observed\n")
 
 
 def test_report_is_byte_identical_across_jobs():

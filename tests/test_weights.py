@@ -626,6 +626,21 @@ def test_root_count_rejects_symbols_outside_the_field(symbol):
         zero_count_via_roots(code, [symbol, 0])
 
 
+@pytest.mark.parametrize("msg", [[1.7, 0], [0, 2.0], np.array([0.5, 1.0]), ["1", 0]])
+def test_root_count_rejects_non_integer_symbols(msg):
+    # The scan used to truncate 1.7 to the symbol 1 like encode did.
+    code = _code(3, 2)
+    with pytest.raises(ValueError, match="are not integers"):
+        zero_count_via_roots(code, msg)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_root_count_accepts_numpy_integer_symbols(dtype):
+    code = _code(4, 3)
+    msg = [3, 0, 7, 12]
+    assert zero_count_via_roots(code, np.array(msg, dtype=dtype)) == zero_count_via_roots(code, msg)
+
+
 LACUNARY_KINDS = {
     "general": {"a": 1, "b": 1},
     "scaled": {"b0": 1, "b1": 1, "b2": 1, "tau": 1},

@@ -4,7 +4,9 @@ root counts of the sparse polynomials that control the low weights.
 Two independent enumeration routes exist and must agree wherever both
 run:
 
-* exhaustive -- iterate every message, count zero symbols per codeword.
+* exhaustive -- every message up to a nonzero scalar, one box per
+  leading coordinate t (zeros before t, 1 at t, any symbols after it),
+  each word counted Q - 1 times: its nonzero multiples share its weight.
   Ground truth; guarded to message spaces of at most 2^26.
 
 * reduced -- weights are invariant under nonzero scalars and under the
@@ -23,8 +25,8 @@ Both routes count the code of ``agcode.monomial_rows`` for (field, E),
 which ``build_code`` proved equal to every orbit's curve-built code (the
 witnesses and root counts below stay on the curve, as its oracles).
 Both walk product boxes, one kernel counting every box: each coordinate
-has a table of its scaled monomial row (all Q scalars for the exhaustive
-route, omega^0 .. omega^(diag_i - 1) for the reduced one), as uint8.
+has a table of its scaled monomial row (1 or all Q scalars exhaustively,
+omega^0 .. omega^(diag_i - 1) in the reduced route), as uint8.
 A box's tables split into two halves of balanced size, each folded
 symbol-major into an (n, words) array of its partial sums, the left one
 negated, so a word has a zero wherever neg(left) == right.  A tile, some
@@ -172,6 +174,18 @@ def _tiled_box(field: Field, add: np.ndarray, factors, pool_map) -> np.ndarray:
     return sum((map if tiles == 1 else pool_map)(tile, range(0, left, width)))
 
 
+def _planned_counts(field: Field, k: int, boxes, jobs: int) -> np.ndarray:
+    """Counts of a k-coordinate code from the (factors, weight) boxes of a
+    route plus the zero message, refused before any tile runs unless the
+    boxes' words, each counted weight times, and the zero message make Q^k."""
+    planned = 1 + sum(weight * prod(len(table) for table in factors) for factors, weight in boxes)
+    if planned != field.order**k:
+        raise RuntimeError(f"enumeration plan covers {planned} messages, not {field.order**k}")
+    counts = _box_counts(field, boxes, jobs)
+    counts[0] += 1  # zero message
+    return counts
+
+
 # -- exhaustive route ---------------------------------------------------
 
 
@@ -182,7 +196,10 @@ def _exhaustive_counts(field: Field, exponents, jobs: int) -> np.ndarray:
         raise SizeGuardError(
             f"message space {space} exceeds the exhaustive guard {EXHAUSTIVE_GUARD}")
     mul = field.mul_table.astype(np.uint8)
-    return _box_counts(field, [([mul[:, row] for row in rows], 1)], jobs)
+    # Leading coordinate t: zeros before it, the scalar 1 (row 1 of mul) at it.
+    boxes = [([mul[1:2, rows[t]]] + [mul[:, row] for row in rows[t + 1:]], field.order - 1)
+             for t in range(len(rows))]
+    return _planned_counts(field, len(rows), boxes, jobs)
 
 
 # -- reduced route ------------------------------------------------------
@@ -225,14 +242,7 @@ def _reduced_counts(field: Field, exponents, jobs: int) -> np.ndarray:
             )
         boxes.append(([scaled[t, :d] for t, d in zip(coords, diag)], orbit_size))
 
-    counts = _box_counts(field, boxes, jobs)
-    counts[0] += 1  # zero message
-    expected = field.order**k
-    if int(counts.sum()) != expected:
-        raise RuntimeError(
-            f"reduced enumeration lost codewords: {int(counts.sum())} != {expected}"
-        )
-    return counts
+    return _planned_counts(field, k, boxes, jobs)
 
 
 # -- public enumeration API ---------------------------------------------
@@ -259,10 +269,19 @@ def weight_enumerator(code: LinearCode, method: str = "auto", jobs: int | None =
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     counts = {w: int(c) for w, c in enumerate(raw) if c}
     enum = WeightEnumerator(code.q, code.m, code.n, code.k, counts, method, elapsed_ms)
-    if enum.total() != code.field.order**code.k:
+    big_q, n, k = code.field.order, code.n, code.k
+    if enum.total() != big_q**k:
         raise RuntimeError("enumerator total does not match the message space")
     if enum.count(0) != 1:
         raise RuntimeError("enumerator must see exactly one zero codeword")
+    # Pless power moments: no column of a monomial code is zero, and no two
+    # are proportional unless n shares a factor with every e_t - e_0.
+    first, second = (sum(w**p * c for w, c in counts.items()) for p in (1, 2))
+    if first != big_q**(k - 1) * (big_q - 1) * n:
+        raise RuntimeError("enumerator fails the first Pless power moment")
+    if gcd(n, *(e - exponents[0] for e in exponents)) == 1 \
+            and second != big_q**(k - 2) * (big_q - 1) * n * ((big_q - 1) * n + 1):
+        raise RuntimeError("enumerator fails the second Pless power moment")
     _ENUMERATORS[key] = enum
     return enum
 

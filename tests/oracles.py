@@ -2,11 +2,13 @@
 point-by-point evaluation of a function of the space (functions as
 coefficient vectors, as in ``hermicode.rrspace``), the intersection
 multiplicity of the two curves at the origin, the integer Hermite
-normal form whose diagonal the reduced route reads off a gcd chain, and
-linear combinations of rows through the add and mul tables."""
+normal form whose diagonal the reduced route reads off a gcd chain,
+linear combinations of rows through the add and mul tables, and the
+weight counts of every message of a monomial code, one by one."""
 
 import numpy as np
 
+from hermicode import agcode, weights
 from hermicode.rrspace import monomials
 
 
@@ -82,3 +84,13 @@ def table_combination(field, coefs, rows):
     for t, row in enumerate(rows):
         acc = field.add_table[acc, field.mul_table[coefs[..., t, None], row]]
     return acc
+
+
+def full_scan_counts(field, exponents, jobs=1):
+    """Weight counts of the monomial code of (field, E = ``exponents``) from
+    one box of all Q^k messages, each counted once: no scalar symmetry, no
+    plan and no zero message added by hand.  The exhaustive route must
+    equal it; an E that repeats a residue is refused as there."""
+    rows = agcode.monomial_rows(field, exponents)
+    mul = field.mul_table.astype(np.uint8)
+    return weights._box_counts(field, [([mul[:, row] for row in rows], 1)], jobs)

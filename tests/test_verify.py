@@ -139,14 +139,20 @@ def test_orbit_choice_claim_rests_on_build_code(monkeypatch):
 
 def test_cross_check_catches_a_tampered_reduced_route(monkeypatch):
     # (8, 2) has 4,096 messages, under CROSS_CHECK_LIMIT, so both routes
-    # run and a reduced route that moves one word between weights is caught.
+    # run and a reduced route that moves words between weights is caught.
+    # One word moves down from the top weight and one up from the lowest
+    # nonzero weight: the total and the first Pless moment, which
+    # weight_enumerator checks on its own, stay, and at m = 2 the second
+    # moment is not checked, so only the cross-check can see it.
     real = weights._reduced_counts
 
     def tampered(field, exponents, jobs):
         counts = real(field, exponents, jobs)
-        top = np.flatnonzero(counts)[-1]
+        low, top = np.flatnonzero(counts)[[1, -1]]
         counts[top] -= 1
         counts[top - 1] += 1
+        counts[low] -= 1
+        counts[low + 1] += 1
         return counts
 
     monkeypatch.setattr(weights, "_ENUMERATORS", {})

@@ -1,23 +1,27 @@
 """Weight enumeration: the product-box kernel both routes share is
 checked against a brute-force sum over its box, both routes against a
 per-message encode scan and a from-scratch function-evaluation
-enumerator, the reduced route against the exhaustive one, and the
+enumerator, the exhaustive route against a scan of every message and
+the reduced route against the exhaustive one, the plans and the
+enumerators against the counting identities they must meet, and the
 distributions against their closed forms."""
 
 import itertools
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from math import gcd, prod
 
 import numpy as np
 import pytest
-from oracles import evaluate, hnf_diagonal, table_combination
+from oracles import evaluate, full_scan_counts, hnf_diagonal, table_combination
 
 from hermicode import agcode, rrspace, weights
 from hermicode.agcode import encode
 from hermicode.curve import all_orbit_specs, canonical_orbit_spec, orbit_of
 from hermicode.gf import field_for_q
 from hermicode.rrspace import monomials
+from hermicode.verify import ENUMERABLE
 from hermicode.verify import code_for as _code
 from hermicode.weights import (
     SizeGuardError,
@@ -356,6 +360,133 @@ def test_routes_agree_on_random_exponent_sets(monkeypatch):
                 assert np.array_equal(route(f, exponents, jobs), counts[i]), (f.q, exponents)
 
 
+_FULL_SCAN_SIZES = [(q, m) for q in (3, 4, 5, 7, 8, 9) for m in range(2, q)
+                    if (q * q)**(m * (m - 1) // 2 + 1) <= 1 << 22]
+
+
+@pytest.mark.parametrize("q,m", _FULL_SCAN_SIZES)
+def test_exhaustive_equals_full_scan(q, m):
+    f = field_for_q(q)
+    exponents = agcode.build_code(f, m).exponents.tolist()
+    assert np.array_equal(weights._exhaustive_counts(f, exponents, 1),
+                          full_scan_counts(f, exponents))
+
+
+def test_exhaustive_equals_full_scan_on_random_exponent_sets(monkeypatch):
+    # One-word tiles: every left column of every box is its own tile.
+    cases = [(f, e) for f, e in _random_exponent_sets() if f.order**len(e) <= 1 << 16]
+    assert len(cases) == 117
+    expected = [full_scan_counts(f, e) for f, e in cases]
+    monkeypatch.setattr(weights, "_TILE_WORDS", 1)
+    for (f, exponents), counts in zip(cases, expected):
+        for jobs in (1, 2, 8):
+            assert np.array_equal(weights._exhaustive_counts(f, exponents, jobs), counts), \
+                (f.q, exponents, jobs)
+
+
+def test_exhaustive_scans_one_word_per_line(monkeypatch):
+    # Box t: the 1 x n row of coordinate t, then Q rows per later coordinate.
+    f = field_for_q(5)
+    code = agcode.build_code(f, 3)
+    big_q, k = f.order, code.k
+    plans, box_counts = [], weights._box_counts
+    monkeypatch.setattr(weights, "_box_counts",
+                        lambda field, boxes, jobs: plans.append(boxes) or box_counts(field, boxes, jobs))
+    weights._exhaustive_counts(f, code.exponents.tolist(), 1)
+    (boxes,) = plans
+    assert [weight for _, weight in boxes] == [big_q - 1] * k
+    assert [[len(table) for table in factors] for factors, _ in boxes] == \
+        [[1] + [big_q] * (k - 1 - t) for t in range(k)]
+    for t, (factors, _) in enumerate(boxes):
+        assert factors[0].dtype == np.uint8
+        assert np.array_equal(factors[0][0], agcode.monomial_rows(f, code.exponents)[t])
+    assert sum(prod(len(table) for table in factors) for factors, _ in boxes) == \
+        (big_q**k - 1) // (big_q - 1)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_a_misweighted_plan_is_refused_before_the_kernel(monkeypatch, delta):
+    # Each box of each route in turn gets its weight off by delta; the
+    # plan no longer makes up Q^k and no tile may run.
+    f = field_for_q(4)
+    exponents = agcode.build_code(f, 3).exponents.tolist()
+    planned, kernel_calls = weights._planned_counts, []
+    monkeypatch.setattr(weights, "_box_counts", lambda *args: kernel_calls.append(args))
+    for route, boxes in ((weights._exhaustive_counts, 4), (weights._reduced_counts, 15)):
+        for i in range(boxes):
+            def misweighted(field, k, plan, jobs, i=i):
+                assert len(plan) == boxes
+                factors, weight = plan[i]
+                plan = plan[:i] + [(factors, weight + delta)] + plan[i + 1:]
+                return planned(field, k, plan, jobs)
+
+            monkeypatch.setattr(weights, "_planned_counts", misweighted)
+            with pytest.raises(RuntimeError, match="plan covers"):
+                route(f, exponents, 1)
+    assert kernel_calls == []
+
+
+@pytest.mark.parametrize("q,m", sorted(ENUMERABLE))
+def test_pless_power_moments(q, m):
+    # The second moment needs no two proportional columns: gcd(n, E - e_0)
+    # is 1 for every m >= 3 and q - 1 at m = 2, where E = {0, q - 1}.
+    code = _code(q, m)
+    big_q, n, k = code.field.order, code.n, code.k
+    counts = weight_enumerator(code).counts
+    first, second = (sum(w**p * c for w, c in counts.items()) for p in (1, 2))
+    assert first == big_q**(k - 1) * (big_q - 1) * n
+    spread = gcd(n, *(code.exponents - code.exponents[0]).tolist())
+    assert spread == (q - 1 if m == 2 else 1)
+    assert (second == big_q**(k - 2) * (big_q - 1) * n * ((big_q - 1) * n + 1)) == (m >= 3)
+
+
+def _mutated(monkeypatch, mutate):
+    """weight_enumerator with its exhaustive counts passed through ``mutate``."""
+    exhaustive = weights._exhaustive_counts
+
+    def route(field, exponents, jobs):
+        counts = exhaustive(field, exponents, jobs).copy()
+        mutate(counts)
+        return counts
+
+    monkeypatch.setattr(weights, "_ENUMERATORS", {})
+    monkeypatch.setattr(weights, "_exhaustive_counts", route)
+
+
+def test_a_word_moved_between_weights_breaks_the_first_moment(monkeypatch):
+    def move(counts):
+        counts[13] -= 1
+        counts[15] += 1
+
+    _mutated(monkeypatch, move)
+    with pytest.raises(RuntimeError, match="first Pless power moment"):
+        weight_enumerator(_code(4, 3), "exhaustive")
+
+
+def test_a_spread_word_pair_breaks_the_second_moment(monkeypatch):
+    # Two words of weight 13 moved to 12 and 14 keep the total and the
+    # first moment.
+    def spread(counts):
+        counts[13] -= 2
+        counts[12] += 1
+        counts[14] += 1
+
+    _mutated(monkeypatch, spread)
+    with pytest.raises(RuntimeError, match="second Pless power moment"):
+        weight_enumerator(_code(4, 3), "exhaustive")
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_count_off_by_a_line_breaks_the_total(monkeypatch, sign):
+    # A box weighted Q - 1 that ran one word too many or too few.
+    def shift(counts):
+        counts[13] += sign * 255
+
+    _mutated(monkeypatch, shift)
+    with pytest.raises(RuntimeError, match="total does not match"):
+        weight_enumerator(_code(4, 3), "exhaustive")
+
+
 @pytest.mark.parametrize("q,m", [(3, 2), (4, 3), (5, 4), (7, 3), (8, 3)])
 def test_repeated_residue_is_refused(monkeypatch, q, m):
     # A lift e + (Q - 1) of an exponent already in E: the two monomial
@@ -365,7 +496,7 @@ def test_repeated_residue_is_refused(monkeypatch, q, m):
     rng = np.random.default_rng([q, m])
     exponents = [int(e) for e in rng.choice(big_n, 3, replace=False)]
     exponents.append(exponents[0] + big_n)
-    for route in (weights._exhaustive_counts, weights._reduced_counts):
+    for route in (weights._exhaustive_counts, weights._reduced_counts, full_scan_counts):
         with pytest.raises(RuntimeError, match="repeats a residue"):
             route(f, exponents, 1)
     real_powers = rrspace.powers
@@ -422,10 +553,11 @@ def test_workers_are_capped_at_the_chunk_count(monkeypatch):
     # thread only for a tile that finds none idle, and a box's tiles all
     # finish before the next box's start, so no more threads start than
     # the largest box has tiles.  With the default tile every box of
-    # q = 4, m = 3 is one tile and runs inline; 2^12 words cut the
-    # exhaustive box into 16 tiles, 2^6 words the largest reduced box into 4.
+    # q = 4, m = 3 is one tile and runs inline; 2^8 words cut the largest
+    # exhaustive box, 16^3 words, into 16 tiles, 2^6 words the largest
+    # reduced box into 4.
     code = agcode.build_code(field_for_q(4), 3)
-    methods = {"exhaustive": 1 << 12, "reduced": 1 << 6}
+    methods = {"exhaustive": 1 << 8, "reduced": 1 << 6}
     base = {method: weight_enumerator(code, method, jobs=1).counts for method in methods}
     monkeypatch.setattr(weights, "_ENUMERATORS", {})
     monkeypatch.setattr(CountingPool, "pools", [])

@@ -16,11 +16,12 @@ Exhaustive enumeration, of every message up to a nonzero scalar with
 one box per leading coordinate, is the arbiter throughout.  Wherever the
 message space is at most CROSS_CHECK_LIMIT the reduced enumerator is
 never trusted alone: the exhaustive one must agree exactly before any
-claim is judged.  That agreement checks the reduced route's orbit
-bookkeeping, not the kernel or the monomial rows that both routes share;
-those have their own oracle tests.  Equality across orbit choices is settled by
-``build_code``, which proves every orbit's code equal to the one
-monomial code enumerated.
+claim is judged.  That agreement checks the reduced route's shift
+normalisation (g rows at each line's second nonzero coordinate, weight
+(Q - 1)^2 / g) and its coordinate order, not the kernel or the monomial
+rows that both routes share; those have their own oracle tests.
+Equality across orbit choices is settled by ``build_code``, which
+proves every orbit's code equal to the one monomial code enumerated.
 """
 
 from __future__ import annotations

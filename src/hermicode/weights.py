@@ -11,22 +11,24 @@ run:
 
 * reduced -- weights are invariant under nonzero scalars and under the
   coordinate shift, and the shift multiplies message coordinate t by
-  omega^e_t, e_t in the code's exponent set E.  Both symmetries together
-  translate the vector of discrete logs of the nonzero message
-  coordinates by a fixed subgroup L of (Z/(q^2-1))^s, one per support.
-  Orbits are exactly the cosets of L, so enumerating one point per
-  coset of L (a box whose sides are a gcd chain of the differences of
-  E on the support, the diagonal of L's Hermite normal form) and
-  weighting by |L| gives the same counts with roughly (q^2-1)^2 fewer
-  codeword scans.  No free action is assumed: coset size is |L| by
-  construction, fixed points just live in supports where L collapses.
+  omega^e_t, e_t in the code's exponent set E.  The route refines the
+  exhaustive lines at their second nonzero coordinate u: with the 1 at
+  t kept, the two symmetries move the discrete log at u through the
+  multiples of g = gcd(e_u - e_t, Q - 1), so omega^0 .. omega^(g-1) at u
+  meet every orbit and each word stands for (Q - 1)^2 / g messages.
+  Together with the Q - 1 messages of each single nonzero coordinate
+  that is k(k+1)/2 boxes, and roughly (q^2-1)^2 fewer codeword scans
+  than all messages.  No free action is assumed: each message is reached
+  from the box words by exactly g of the (Q - 1)^2 pairs (scalar, shift),
+  fixed points included.  The coordinates are first ordered by their
+  gcds, which sets only how many words are scanned.
 
 Both routes count the code of ``agcode.monomial_rows`` for (field, E),
 which ``build_code`` proved equal to every orbit's curve-built code (the
 witnesses and root counts below stay on the curve, as its oracles).
 Both walk product boxes, one kernel counting every box: each coordinate
-has a table of its scaled monomial row (1 or all Q scalars exhaustively,
-omega^0 .. omega^(diag_i - 1) in the reduced route), as uint8.
+has a table of its scaled monomial row (1 or all Q scalars, or
+omega^0 .. omega^(g - 1) at the reduced route's u), as uint8.
 A box's tables split into two halves of balanced size, each folded
 symbol-major into an (n, words) array of its partial sums, the left one
 negated, so a word has a zero wherever neg(left) == right.  A tile, some
@@ -205,43 +207,39 @@ def _exhaustive_counts(field: Field, exponents, jobs: int) -> np.ndarray:
 # -- reduced route ------------------------------------------------------
 
 
-def _transversal(logs: list[int], modulus: int) -> list[int]:
-    """Sides of a box transversal of (Z/N)^s, N = ``modulus``, modulo the
-    subgroup L spanned by (1, ..., 1) and ``logs``; the box has one point
-    per coset.  With w_j = logs[j] - logs[0], G_0 = N and
-    G_j = gcd(G_{j-1}, w_j), side 0 is 1 and side j is (N // G_{j-1}) * G_j:
-    the diagonal of the row Hermite normal form of L's lattice."""
-    diag, g = [1], modulus
-    for e in logs[1:]:
-        g_next = gcd(g, e - logs[0])
-        diag.append(modulus // g * g_next)
-        g = g_next
-    return diag
-
-
 def _reduced_counts(field: Field, exponents, jobs: int) -> np.ndarray:
-    """Counts from one box per support pattern."""
+    """Counts from the exhaustive lines (zeros before t, 1 at t) split at
+    the second nonzero coordinate u: zeros between t and u, omega^0 ..
+    omega^(g-1) times row u, any symbols after u, weight (Q - 1)^2 / g;
+    and row t alone, weight Q - 1.  The guard reads the words in closed
+    form, before any table is built."""
+    big_q, n, k = field.order, field.order - 1, len(exponents)
+    # Each next coordinate has the smallest gcd sum with those placed (with
+    # all, while none is), ties by index: the boxes with the most symbols
+    # after u then have few rows at u.
+    order, rest = [], list(range(k))
+    while rest:
+        placed = order or range(k)
+        order.append(min(rest, key=lambda u: sum(gcd(exponents[u] - exponents[t], n) for t in placed)))
+        rest.remove(order[-1])
+    exponents = [exponents[t] for t in order]
+    g = [[gcd(e_u - e_t, n) for e_u in exponents] for e_t in exponents]
+    words = sum(1 + sum(g[t][u] * big_q**(k - 1 - u) for u in range(t + 1, k)) for t in range(k))
+    if words > _REDUCED_REPS_GUARD:
+        raise SizeGuardError(
+            f"reduced enumeration needs more than {_REDUCED_REPS_GUARD} "
+            "representatives; the code is too large to enumerate"
+        )
     rows = agcode.monomial_rows(field, exponents)
-    k, n = rows.shape  # n = Q - 1 is also the modulus of the logs
-
-    # scaled[t, j] = omega^j * row t; a support's tables are prefixes of these.
-    scaled = field.mul_table.astype(np.uint8)[field.exp_table[:n, None], rows[:, None, :]]
-    boxes, total_reps = [], 0  # (factors, orbit size) per support
-    for mask in range(1, 1 << k):
-        coords = tuple(t for t in range(k) if (mask >> t) & 1)
-        diag = _transversal([exponents[t] for t in coords], n)
-        reps = prod(diag)
-        orbit_size, rem = divmod(n**len(coords), reps)
-        if rem:
-            raise RuntimeError("transversal size does not divide the support class")
-        total_reps += reps
-        if total_reps > _REDUCED_REPS_GUARD:
-            raise SizeGuardError(
-                f"reduced enumeration needs more than {_REDUCED_REPS_GUARD} "
-                "representatives; the code is too large to enumerate"
-            )
-        boxes.append(([scaled[t, :d] for t, d in zip(coords, diag)], orbit_size))
-
+    mul = field.mul_table.astype(np.uint8)
+    # scaled[t, j] = omega^j * row t, so scaled[t, :1] is row t itself.
+    scaled = mul[field.exp_table[:n, None], rows[:, None, :]]
+    symbols = [mul[:, row] for row in rows]
+    boxes = []
+    for t in range(k):
+        boxes.append(([scaled[t, :1]], n))
+        boxes += [([scaled[t, :1], scaled[u, :g[t][u]]] + symbols[u + 1:], n * n // g[t][u])
+                  for u in range(t + 1, k)]
     return _planned_counts(field, k, boxes, jobs)
 
 
@@ -350,8 +348,8 @@ def min_weight_characterization(code: LinearCode) -> list[tuple[int, ...]]:
 # -- zero counts through the univariate polynomial -----------------------
 
 
-def orbit_zero_polynomial(code: LinearCode, msg) -> dict[int, int]:
-    """Exponent -> coefficient of the polynomial whose nonzero roots are
+def _orbit_terms(code: LinearCode, msg) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents and coefficients of the polynomial whose nonzero roots are
     exactly the orbit x-coordinates where the message's function
     vanishes: substitute y = tau*x^(q+1), divide by x^m."""
     agcode.check_message(code, msg)
@@ -359,23 +357,27 @@ def orbit_zero_polynomial(code: LinearCode, msg) -> dict[int, int]:
     # x^a * y^b becomes tau^b * x^e; the exponents e_t are distinct and
     # tau != 0, so no two terms merge and no nonzero term vanishes.
     tau_b = field.exp_table[field.log_table[code.spec.tau] * code.powers[:, 1] % (field.order - 1)]
-    coefs = field.mul_table[np.asarray(msg, dtype=np.int64), tau_b].tolist()
-    return {e: c for e, c in zip(code.exponents.tolist(), coefs) if c}
+    return code.exponents, field.mul_table[np.asarray(msg, dtype=np.int64), tau_b]
+
+
+def orbit_zero_polynomial(code: LinearCode, msg) -> dict[int, int]:
+    """Exponent -> nonzero coefficient of the orbit polynomial."""
+    exps, coefs = _orbit_terms(code, msg)
+    return {e: c for e, c in zip(exps.tolist(), coefs.tolist()) if c}
 
 
 def zero_count_via_roots(code: LinearCode, msg) -> int:
     """Number of orbit points where the message's function vanishes,
     counted by scanning nonzero roots of the substituted polynomial."""
-    values = _poly_values(code.field, orbit_zero_polynomial(code, msg))
+    values = _poly_values(code.field, *_orbit_terms(code, msg))
     return int(np.count_nonzero(values[1:] == 0))
 
 
-def _poly_values(field: Field, terms: dict[int, int]) -> np.ndarray:
-    """Values of sum c * x^e (e >= 0) at every x in F_Q, indexed by the
-    encoding of x; at x = 0, x^0 = 1 and x^e = 0 for e > 0."""
-    exps = np.fromiter(terms, dtype=np.int64, count=len(terms))
-    coefs = np.fromiter(terms.values(), dtype=np.int64, count=len(terms))
-    powers = np.empty((len(terms), field.order), dtype=np.int64)
+def _poly_values(field: Field, exps, coefs) -> np.ndarray:
+    """Values of sum c_t * x^e_t (e_t >= 0) at every x in F_Q, indexed by
+    the encoding of x; at x = 0, x^0 = 1 and x^e = 0 for e > 0."""
+    exps = np.asarray(exps, dtype=np.int64)
+    powers = np.empty((len(exps), field.order), dtype=np.int64)
     powers[:, 0] = exps == 0
     powers[:, 1:] = field.exp_table[np.outer(exps, field.log_table[1:]) % (field.order - 1)]
     return field.combine(coefs, powers)
@@ -405,28 +407,22 @@ def roots_of_lacunary(field: Field, kind: str, *, a: int | None = None,
     if kind == "general":
         if a is None or b is None:
             raise ValueError("general form needs coefficients a and b")
-        terms = {q + 1: 1, 1: a, 0: b}
-        roots = _scan_roots(field, terms)
+        exps, coefs = (q + 1, 1, 0), (1, a, b)
     elif kind == "scaled":
         if b0 is None or b1 is None or b2 is None or tau is None:
             raise ValueError("scaled form needs b0, b1, b2 and tau")
         lead = field.mul(tau, b2)
         if lead == 0:
             raise ValueError("scaled form is degenerate: tau*b2 = 0")
-        terms = {q + 1: lead, 1: b1, 0: b0}
-        roots = _scan_roots(field, terms)
+        exps, coefs = (q + 1, 1, 0), (lead, b1, b0)
     elif kind == "shifted":
         if b1 is None or tau is None:
             raise ValueError("shifted form needs b1 and tau")
         lead = field.mul(b1, tau)
         if lead == 0:
             raise ValueError("shifted form is degenerate: b1*tau = 0")
-        terms = {q - 1: lead, 0: 1}
-        roots = _scan_roots(field, terms)
+        exps, coefs = (q - 1, 0), (lead, 1)
     else:
         raise ValueError(f"unknown lacunary kind {kind!r}")
+    roots = tuple(np.flatnonzero(_poly_values(field, exps, coefs) == 0).tolist())
     return len(roots), roots
-
-
-def _scan_roots(field: Field, terms: dict[int, int]) -> tuple[int, ...]:
-    return tuple(int(x) for x in np.flatnonzero(_poly_values(field, terms) == 0))

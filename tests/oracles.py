@@ -2,9 +2,12 @@
 point-by-point evaluation of a function of the space (functions as
 coefficient vectors, as in ``hermicode.rrspace``), the intersection
 multiplicity of the two curves at the origin, the integer Hermite
-normal form whose diagonal the reduced route reads off a gcd chain,
-linear combinations of rows through the add and mul tables, and the
-weight counts of every message of a monomial code, one by one."""
+normal form, linear combinations of rows through the add and mul
+tables, the weight counts of every message of a monomial code, one by
+one, and the same counts from one Hermite-normal-form box per support."""
+
+from itertools import combinations
+from math import prod
 
 import numpy as np
 
@@ -94,3 +97,24 @@ def full_scan_counts(field, exponents, jobs=1):
     rows = agcode.monomial_rows(field, exponents)
     mul = field.mul_table.astype(np.uint8)
     return weights._box_counts(field, [([mul[:, row] for row in rows], 1)], jobs)
+
+
+def translation_counts(field, exponents, jobs=1):
+    """Weight counts of the monomial code of (field, E = ``exponents``) from
+    one box per support pattern S of the messages.  Scalars and the shift
+    translate the discrete logs on S by the lattice L spanned by (1, ..., 1)
+    and (e_t)_{t in S}; the box's sides are the diagonal of L's Hermite
+    normal form, so it holds one point per coset, of weight n^|S| / size.
+    The reduced route must equal it."""
+    rows = agcode.monomial_rows(field, exponents)
+    k, n = rows.shape
+    # scaled[t, j] = omega^j * row t.
+    scaled = field.mul_table.astype(np.uint8)[field.exp_table[:n, None], rows[:, None, :]]
+    boxes = []
+    for s in range(1, k + 1):
+        for coords in combinations(range(k), s):
+            sides = hnf_diagonal([[1] * s, [exponents[t] for t in coords]], s, n)
+            boxes.append(([scaled[t, :d] for t, d in zip(coords, sides)], n**s // prod(sides)))
+    counts = weights._box_counts(field, boxes, jobs)
+    counts[0] += 1  # zero message
+    return counts

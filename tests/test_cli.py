@@ -174,6 +174,14 @@ def test_reduced_route_refuses_large_codes_with_its_own_guard(method):
     assert "use the reduced method" not in err
 
 
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_reduced_route_refuses_m4_above_q5(q):
+    # The smallest codes past the representatives guard: 3.1e8 words and more.
+    rc, out, err = run_cli(["weights", "--q", str(q), "--m", "4", "--method", "reduced"])
+    assert rc == 3 and out == ""
+    assert "representatives" in err
+
+
 def test_out_writes_file(tmp_path):
     target = tmp_path / "gen.json"
     rc, out, _ = run_cli(["build", "--q", "3", "--m", "2", "--out", str(target)])

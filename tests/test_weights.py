@@ -2,7 +2,8 @@
 checked against a brute-force sum over its box, both routes against a
 per-message encode scan and a from-scratch function-evaluation
 enumerator, the exhaustive route against a scan of every message and
-the reduced route against the exhaustive one, the plans and the
+the reduced route against the exhaustive one and against one
+Hermite-normal-form box per support, the plans, the guard and the
 enumerators against the counting identities they must meet, and the
 distributions against their closed forms."""
 
@@ -14,12 +15,12 @@ from math import gcd, prod
 
 import numpy as np
 import pytest
-from oracles import evaluate, full_scan_counts, hnf_diagonal, table_combination
+from oracles import evaluate, full_scan_counts, table_combination, translation_counts
 
 from hermicode import agcode, rrspace, weights
 from hermicode.agcode import encode
 from hermicode.curve import all_orbit_specs, canonical_orbit_spec, orbit_of
-from hermicode.gf import field_for_q
+from hermicode.gf import SUPPORTED_Q, field_for_q
 from hermicode.rrspace import monomials
 from hermicode.verify import ENUMERABLE
 from hermicode.verify import code_for as _code
@@ -412,7 +413,7 @@ def test_a_misweighted_plan_is_refused_before_the_kernel(monkeypatch, delta):
     exponents = agcode.build_code(f, 3).exponents.tolist()
     planned, kernel_calls = weights._planned_counts, []
     monkeypatch.setattr(weights, "_box_counts", lambda *args: kernel_calls.append(args))
-    for route, boxes in ((weights._exhaustive_counts, 4), (weights._reduced_counts, 15)):
+    for route, boxes in ((weights._exhaustive_counts, 4), (weights._reduced_counts, 10)):
         for i in range(boxes):
             def misweighted(field, k, plan, jobs, i=i):
                 assert len(plan) == boxes
@@ -511,21 +512,139 @@ def test_repeated_residue_is_refused(monkeypatch, q, m):
         agcode.build_code(f, m)
 
 
-def test_transversal_matches_hnf_diagonal():
-    # Seeded random log vectors against the integer Hermite normal form
-    # of the lattice spanned by (1, ..., 1), the logs and N * e_i.  Every
-    # fifth vector is collapsed (all logs equal), where L is the diagonal
-    # alone and the box is [1, N, ..., N].
-    rng = np.random.default_rng(7001)
-    for big_n in (8, 15, 24, 48, 63, 80):
-        for trial in range(100):
-            s = int(rng.integers(1, 9))
-            logs = [int(x) for x in rng.integers(-big_n, 2 * big_n, s)]
-            if trial % 5 == 0:
-                logs = [logs[0]] * s
-                assert weights._transversal(logs, big_n) == [1] + [big_n] * (s - 1)
-            expected = hnf_diagonal([[1] * s, logs], s, big_n)
-            assert weights._transversal(logs, big_n) == expected, (big_n, logs)
+@pytest.mark.parametrize("q,m", sorted(ENUMERABLE))
+def test_reduced_equals_translation_oracle(q, m):
+    # (5, 4) is the one suite code whose reduced counts no exhaustive
+    # reference reaches.
+    f = field_for_q(q)
+    exponents = agcode.build_code(f, m).exponents.tolist()
+    assert np.array_equal(weights._reduced_counts(f, exponents, 1),
+                          translation_counts(f, exponents))
+
+
+def test_reduced_equals_translation_on_random_exponent_sets(monkeypatch):
+    cases = _random_exponent_sets()
+    expected = [translation_counts(f, e) for f, e in cases]
+    for (f, exponents), counts in zip(cases, expected):
+        assert np.array_equal(weights._reduced_counts(f, exponents, 1), counts), (f.q, exponents)
+    # One-word tiles: every left column of every box is its own tile.
+    monkeypatch.setattr(weights, "_TILE_WORDS", 1)
+    small = [(case, counts) for case, counts in zip(cases, expected)
+             if case[0].order**len(case[1]) <= 1 << 16]
+    assert len(small) == 117
+    for (f, exponents), counts in small:
+        for jobs in (1, 2, 8):
+            assert np.array_equal(weights._reduced_counts(f, exponents, jobs), counts), \
+                (f.q, exponents, jobs)
+
+
+def _recorded_plans(monkeypatch):
+    """The box lists handed to the kernel from now on, which counts
+    nothing, with the reduced route's guard lifted."""
+    plans = []
+
+    def record(field, boxes, jobs):
+        plans.append(boxes)
+        return np.zeros(field.order, dtype=np.int64)
+
+    monkeypatch.setattr(weights, "_box_counts", record)
+    monkeypatch.setattr(weights, "_REDUCED_REPS_GUARD", 1 << 62)
+    return plans
+
+
+def _words(boxes):
+    return sum(prod(len(table) for table in factors) for factors, _ in boxes)
+
+
+@pytest.mark.parametrize("q,m", [(4, 3), (5, 4)])
+def test_reduced_plan_splits_each_line_at_its_second_nonzero(monkeypatch, q, m):
+    # Box (t, u): the 1 at t, omega^0 .. omega^(g-1) times row u with
+    # g = gcd(e_u - e_t, Q - 1), all Q symbols after u, weight (Q - 1)^2 / g.
+    # Box (t): row t alone, weight Q - 1.  t and u run in the route's
+    # coordinate order, read off the single-row boxes.
+    f = field_for_q(q)
+    big_q, n = f.order, f.order - 1
+    exponents = agcode.build_code(f, m).exponents.tolist()
+    k = len(exponents)
+    rows = agcode.monomial_rows(f, exponents)
+    plans = _recorded_plans(monkeypatch)
+    weights._reduced_counts(f, exponents, 1)
+    (boxes,) = plans
+    assert len(boxes) == k * (k + 1) // 2
+    order = [next(t for t in range(k) if np.array_equal(factors[0][0], rows[t]))
+             for factors, _ in boxes if len(factors) == 1]
+    assert sorted(order) == list(range(k))
+    mul = f.mul_table.astype(np.uint8)
+    expected = []
+    for i, t in enumerate(order):
+        expected.append(([rows[t][None, :]], n))
+        for j in range(i + 1, k):
+            u, g = order[j], gcd(exponents[order[j]] - exponents[t], n)
+            tables = [rows[t][None, :], mul[f.exp_table[:g, None], rows[u]]]
+            expected.append((tables + [mul[:, rows[v]] for v in order[j + 1:]], n * n // g))
+    assert [weight for _, weight in boxes] == [weight for _, weight in expected]
+    for (factors, _), (tables, _) in zip(boxes, expected):
+        assert len(factors) == len(tables)
+        for table, want in zip(factors, tables):
+            assert table.dtype == np.uint8 and np.array_equal(table, want)
+    # The order matters: in code order the large boxes hold more rows at u.
+    in_code_order = sum(1 + sum(gcd(exponents[u] - exponents[t], n) * big_q**(k - 1 - u)
+                                for u in range(t + 1, k)) for t in range(k))
+    assert _words(boxes) <= in_code_order
+    if (q, m) == (5, 4):
+        assert (_words(boxes), in_code_order) == (11_070_483, 25_091_571)
+
+
+@pytest.mark.parametrize("q,m", sorted(ENUMERABLE) + [(7, 4), (8, 4), (9, 4)])
+def test_reduced_scans_few_more_words_than_translation(monkeypatch, q, m):
+    # The lines keep the translation symmetry at their second nonzero only;
+    # the greedy coordinate order keeps the words scanned within 15 %.
+    f = field_for_q(q)
+    exponents = agcode.build_code(f, m).exponents.tolist()
+    plans = _recorded_plans(monkeypatch)
+    weights._reduced_counts(f, exponents, 1)
+    translation_counts(f, exponents)
+    reduced, translation = map(_words, plans)
+    assert translation <= reduced <= 1.15 * translation
+
+
+@pytest.mark.parametrize("q,m", [(4, 3), (5, 4), (7, 4)])
+def test_reduced_guard_reads_the_plan_words(monkeypatch, q, m):
+    f = field_for_q(q)
+    exponents = agcode.build_code(f, m).exponents.tolist()
+    plans = _recorded_plans(monkeypatch)
+    weights._reduced_counts(f, exponents, 1)
+    words = _words(plans[0])
+    monkeypatch.setattr(weights, "_REDUCED_REPS_GUARD", words)
+    weights._reduced_counts(f, exponents, 1)
+    monkeypatch.setattr(weights, "_REDUCED_REPS_GUARD", words - 1)
+    with pytest.raises(SizeGuardError, match="representatives"):
+        weights._reduced_counts(f, exponents, 1)
+    assert len(plans) == 2
+
+
+def test_reduced_guard_refuses_before_any_table(monkeypatch):
+    # The one-box-per-support plan refused exactly q >= 7 at m >= 4 (at
+    # (7, 4) 2.9e8 representatives against 2^27); the lines refuse the same
+    # codes, (7, 4) at 3.1e8 words, from the exponents alone.
+    codes = {(q, m): agcode.build_code(field_for_q(q), m).exponents.tolist()
+             for q in SUPPORTED_Q for m in range(2, q)}
+    built, real = [], agcode.monomial_rows
+    monkeypatch.setattr(agcode, "monomial_rows", lambda *args: built.append(args) or real(*args))
+    monkeypatch.setattr(weights, "_box_counts",
+                        lambda field, boxes, jobs: np.zeros(field.order, dtype=np.int64))
+    refused = set()
+    for (q, m), exponents in codes.items():
+        built.clear()
+        try:
+            weights._reduced_counts(field_for_q(q), exponents, 1)
+        except SizeGuardError as exc:
+            assert "representatives" in str(exc)
+            assert built == [], (q, m)
+            refused.add((q, m))
+        else:
+            assert len(built) == 1, (q, m)
+    assert refused == {(q, m) for q in (7, 8, 9) for m in range(4, q)}
 
 
 class CountingPool(ThreadPoolExecutor):
@@ -741,7 +860,8 @@ def test_root_scans_match_brute_force(q):
         terms = {int(e): int(rng.integers(0, f.order)) for e in exps}
         if trial % 3 == 1:
             terms[0] = int(rng.integers(1, f.order))
-        assert weights._scan_roots(f, terms) == _brute_roots(f, terms, 0)
+        values = weights._poly_values(f, list(terms), list(terms.values()))
+        assert tuple(np.flatnonzero(values == 0).tolist()) == _brute_roots(f, terms, 0)
     for m in range(2, min(q, 5)):
         code = _code(q, m)
         msgs = [[0] * code.k, [1] + [0] * (code.k - 1)]

@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--m": dict(type=int),
         "--suite": dict(choices=("all",)),
         "--method": dict(choices=("auto", "exhaustive", "reduced"), default="auto"),
-        "--jobs": dict(type=_positive_int, help="worker threads (default: HERMICODE_JOBS or 1)"),
+        "--jobs": dict(type=_positive_int, default=1, help="worker threads (default 1)"),
         "--out": dict(help="output path (default stdout)"),
         "--format": dict(choices=("json", "csv"), default="json"),
     }
@@ -186,11 +186,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if getattr(args, "jobs", 1) is None:
-            try:
-                args.jobs = weights.default_jobs()
-            except ValueError as exc:
-                raise _Usage(exc) from None
         status, to_json, lines = args.func(args)
         text = to_json() if args.format == "json" else "\n".join(lines) + "\n"
         if args.out:

@@ -79,7 +79,7 @@ def code_for(q: int, m: int) -> agcode.LinearCode:
     return agcode.build_code(field_for_q(q), m)
 
 
-def checked_enumerator(code: agcode.LinearCode, jobs: int | None = None) -> weights.WeightEnumerator:
+def checked_enumerator(code: agcode.LinearCode, jobs: int = 1) -> weights.WeightEnumerator:
     """Enumerator with the cross-check policy: wherever the message space
     is at most CROSS_CHECK_LIMIT, run both routes and insist on exact
     agreement."""
@@ -129,7 +129,7 @@ def check_code_parameters(q: int, m: int) -> ClaimReport:
 # -- distance bounds -------------------------------------------------------
 
 
-def check_distance_bounds(q: int, m: int, jobs: int | None = None) -> ClaimReport:
+def check_distance_bounds(q: int, m: int, jobs: int = 1) -> ClaimReport:
     """The enumerated minimum distance sits inside the proven window,
     the witness codeword attains the upper end, and the improvement on
     the designed distance is at least q + 1 - m."""
@@ -153,7 +153,7 @@ def check_distance_bounds(q: int, m: int, jobs: int | None = None) -> ClaimRepor
 # -- the two-weight codes (m = 2) -----------------------------------------
 
 
-def check_two_weight(q: int, jobs: int | None = None) -> ClaimReport:
+def check_two_weight(q: int, jobs: int = 1) -> ClaimReport:
     code = code_for(q, 2)
     enum = checked_enumerator(code, jobs)
     n2 = q * q - 1
@@ -176,7 +176,7 @@ _Q5_SECOND_WEIGHT = 19
 _Q7_SECOND_COUNT = 4992
 
 
-def check_cubic_weights(q: int, jobs: int | None = None) -> list[ClaimReport]:
+def check_cubic_weights(q: int, jobs: int = 1) -> list[ClaimReport]:
     """Weight-distribution facts of the m = 3 code: distance, counts at
     the two lowest weights, the third-weight bound, the bound on the
     number of distinct weights, and the documented q = 5 / q = 7
@@ -238,7 +238,7 @@ def check_cubic_weights(q: int, jobs: int | None = None) -> list[ClaimReport]:
 # -- minimum-weight characterization (m = 3) -------------------------------
 
 
-def check_min_weight_characterization(q: int, jobs: int | None = None) -> ClaimReport:
+def check_min_weight_characterization(q: int, jobs: int = 1) -> ClaimReport:
     """The minimum-weight codewords of the m = 3 code are exactly the
     evaluations of y(b0 + b2 y)/x^3 with b2 != 0 and b0/(tau b2) a
     nonzero subfield element: every characterized word has minimum
@@ -288,7 +288,7 @@ def check_orbit_choice_enumerators(q: int) -> ClaimReport:
 # -- suite ------------------------------------------------------------------
 
 
-def run_suite(qs=SUITE_QS, jobs: int | None = None, m: int | None = None) -> list[ClaimReport]:
+def run_suite(qs=SUITE_QS, jobs: int = 1, m: int | None = None) -> list[ClaimReport]:
     """The claims of every q in ``qs``; with ``m`` given, those that touch m."""
     claims: list[ClaimReport] = []
     for q in qs:
@@ -309,7 +309,7 @@ def run_suite(qs=SUITE_QS, jobs: int | None = None, m: int | None = None) -> lis
     return claims
 
 
-def checks_for(q: int, m: int | None, jobs: int | None = None) -> list[ClaimReport]:
+def checks_for(q: int, m: int | None, jobs: int = 1) -> list[ClaimReport]:
     """The claims touching one (q, m); with m omitted, everything for q."""
     return run_suite((q,), jobs=jobs, m=m)
 

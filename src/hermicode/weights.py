@@ -44,7 +44,6 @@ pool.  Counts merge by integer addition, so tilings and workers agree.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from math import gcd, prod
@@ -100,15 +99,6 @@ class WeightEnumerator:
         # elapsed_ms is informational only and excluded from determinism
         # comparisons.
         return {**vars(self), "counts": {str(w): c for w, c in self.counts.items()}}
-
-
-def default_jobs() -> int:
-    """Worker threads when none are given: HERMICODE_JOBS, or 1 where it
-    is unset.  A value that is not a positive integer is refused."""
-    env = os.environ.get("HERMICODE_JOBS", "1")
-    if not env.isdecimal() or int(env) < 1:
-        raise ValueError(f"HERMICODE_JOBS={env!r} is not a positive integer")
-    return int(env)
 
 
 # -- the product-box kernel --------------------------------------------
@@ -246,7 +236,7 @@ def _reduced_counts(field: Field, exponents, jobs: int) -> np.ndarray:
 # -- public enumeration API ---------------------------------------------
 
 
-def weight_enumerator(code: LinearCode, method: str = "auto", jobs: int | None = None) -> WeightEnumerator:
+def weight_enumerator(code: LinearCode, method: str = "auto", jobs: int = 1) -> WeightEnumerator:
     """Exact weight enumerator of the monomial code of E = ``code.exponents``,
     which ``build_code`` proved equal to the curve-built one; cached per
     (field, E, route), so every orbit of a (q, m) shares one entry."""
@@ -254,9 +244,9 @@ def weight_enumerator(code: LinearCode, method: str = "auto", jobs: int | None =
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
         method = "exhaustive" if code.field.order**code.k <= AUTO_EXHAUSTIVE_LIMIT else "reduced"
-    jobs = default_jobs() if jobs is None else jobs
-    if jobs < 1:
-        raise ValueError(f"jobs={jobs} is not a positive integer")
+    # The thread pool would run jobs=1.5 too; refuse what is not an integer.
+    if not hasattr(type(jobs), "__index__") or jobs < 1:
+        raise ValueError(f"jobs={jobs!r} is not a positive integer")
     exponents = tuple(code.exponents.tolist())
     key = (code.field, exponents, method)
     if key in _ENUMERATORS:
@@ -358,12 +348,6 @@ def _orbit_terms(code: LinearCode, msg) -> tuple[np.ndarray, np.ndarray]:
     # tau != 0, so no two terms merge and no nonzero term vanishes.
     tau_b = field.exp_table[field.log_table[code.spec.tau] * code.powers[:, 1] % (field.order - 1)]
     return code.exponents, field.mul_table[np.asarray(msg, dtype=np.int64), tau_b]
-
-
-def orbit_zero_polynomial(code: LinearCode, msg) -> dict[int, int]:
-    """Exponent -> nonzero coefficient of the orbit polynomial."""
-    exps, coefs = _orbit_terms(code, msg)
-    return {e: c for e, c in zip(exps.tolist(), coefs.tolist()) if c}
 
 
 def zero_count_via_roots(code: LinearCode, msg) -> int:

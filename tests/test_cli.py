@@ -153,17 +153,6 @@ def test_jobs_must_be_a_positive_integer(command, jobs):
     assert "positive integer" in err
 
 
-@pytest.mark.parametrize("command", [["weights", "--q", "3", "--m", "2"],
-                                     ["verify", "--q", "3", "--m", "2"], ["report"]])
-@pytest.mark.parametrize("value", ["auto", "0", "2x"])
-def test_malformed_jobs_environment_is_a_usage_error(monkeypatch, command, value):
-    # The variable is read before any work, so report stops at once too.
-    monkeypatch.setenv("HERMICODE_JOBS", value)
-    rc, out, err = run_cli(command)
-    assert rc == 2 and out == ""
-    assert f"HERMICODE_JOBS={value!r}" in err and "positive integer" in err
-
-
 @pytest.mark.parametrize("method", ["reduced", "auto"])
 def test_reduced_route_refuses_large_codes_with_its_own_guard(method):
     # k = 16 at q = 7, m = 6: the representatives guard refuses the code,

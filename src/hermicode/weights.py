@@ -17,29 +17,40 @@ run:
   multiples of g = gcd(e_u - e_t, Q - 1), so omega^0 .. omega^(g-1) at u
   meet every orbit and each word stands for (Q - 1)^2 / g messages.
   Together with the Q - 1 messages of each single nonzero coordinate
-  that is k(k+1)/2 boxes, and roughly (q^2-1)^2 fewer codeword scans
+  that is k(k+1)/2 lines, and roughly (q^2-1)^2 fewer codeword scans
   than all messages.  No free action is assumed: each message is reached
   from the box words by exactly g of the (Q - 1)^2 pairs (scalar, shift),
   fixed points included.  The coordinates are first ordered by their
   gcds, which sets only how many words are scanned.
+  Raising every message coordinate to the p-th power also keeps weights:
+  the word of a^p is the word of a with phi: x -> x^p applied to each
+  symbol and its coordinates permuted by i -> i*p mod Q - 1.  A line
+  with g = 1 holds 1 at t and at u, which phi fixes, so it is cut into
+  boxes of one word per <phi>-orbit: each symbol after u represents an
+  orbit of the stabilizer of the symbols before it, the boxes split by
+  the stabilizer left, which takes all Q symbols once it is trivial,
+  and each word weighs (Q - 1)^2 times its orbit size.  The guard counts
+  those words by Burnside's lemma.
 
 Both routes count the code of ``agcode.monomial_rows`` for (field, E),
 which ``build_code`` proved equal to every orbit's curve-built code (the
 witnesses and root counts below stay on the curve, as its oracles).
 Both walk product boxes, one kernel counting every box: each coordinate
-has a table of its scaled monomial row (1 or all Q scalars, or
-omega^0 .. omega^(g - 1) at the reduced route's u), as uint8.
+has a table of its scaled monomial row (1 or all Q scalars, omega^0 ..
+omega^(g - 1) at the reduced route's u, or orbit representatives after
+a cut u), as uint8.
 A box's tables split into two halves of balanced size, each folded
 symbol-major into an (n, words) array of its partial sums, the left one
 negated, so a word has a zero wherever neg(left) == right.  A tile, some
 left columns against all right columns, about _TILE_WORDS words, adds
 each symbol's comparison in place into its uint8 zero counts (or makes
 one comparison over all symbols while that mask is cache-sized), and
-bincounts them, two per uint16 in a large tile.  Boxes run one at a
-time, with no task list shared between them: a box is folded in the
-calling thread, and its equal-width tiles run inline at one worker or
-when the box is one tile, else through the enumeration's one thread
-pool.  Counts merge by integer addition, so tilings and workers agree.
+bincounts them, two per uint16 in a large tile, in slices whose int64
+copies stay cache-sized.  Boxes run one at a time, with no task list
+shared between them: a box is folded in the calling thread, and its
+equal-width tiles run inline at one worker or when the box is one tile,
+else through the enumeration's one thread pool.  Counts merge by
+integer addition, so tilings and workers agree.
 """
 
 from __future__ import annotations
@@ -56,9 +67,11 @@ from .gf import Field
 
 EXHAUSTIVE_GUARD = 1 << 26
 AUTO_EXHAUSTIVE_LIMIT = 1 << 22
-_REDUCED_REPS_GUARD = 1 << 27
+_REDUCED_REPS_GUARD = 1 << 28
 _TILE_WORDS = 1 << 18
+_HISTOGRAM_PAIRS = 1 << 15
 _ENUMERATORS: dict[tuple[Field, tuple[int, ...], str], WeightEnumerator] = {}
+_FROBENIUS_CLASSES: dict[tuple[Field, int], dict[int, np.ndarray]] = {}
 
 
 class SizeGuardError(ValueError):
@@ -115,12 +128,17 @@ def _fold(add: np.ndarray, tables: list[np.ndarray], n: int) -> np.ndarray:
 
 
 def _histogram(flat: np.ndarray, n: int) -> np.ndarray:
-    """Counts of 0..n in the flat uint8 array.  From 512*(n+1) words on, one
-    bincount of its uint16 view, a + 256*b counting a and b, so byte order
-    does not matter; below that its 256*(n+1) bins cost more than they save."""
+    """Counts of 0..n in the flat uint8 array.  From 512*(n+1) words on,
+    bincounts of its uint16 view, a + 256*b counting a and b, so byte order
+    does not matter; below that its 256*(n+1) bins cost more than they save.
+    bincount copies its input to int64, so the view goes in _HISTOGRAM_PAIRS
+    slices, each copy cache-sized whatever the tile."""
     if flat.size < 512 * (n + 1):
         return np.bincount(flat, minlength=n + 1)
-    pairs = np.bincount(flat[:flat.size & ~1].view(np.uint16), minlength=256 * (n + 1))
+    view = flat[:flat.size & ~1].view(np.uint16)
+    pairs = np.zeros(256 * (n + 1), dtype=np.int64)
+    for lo in range(0, view.size, _HISTOGRAM_PAIRS):
+        pairs += np.bincount(view[lo:lo + _HISTOGRAM_PAIRS], minlength=256 * (n + 1))
     pairs = pairs.reshape(n + 1, 256)
     hist = pairs[:, :n + 1].sum(axis=0) + pairs.sum(axis=1)
     hist[flat[-1]] += flat.size & 1
@@ -197,12 +215,42 @@ def _exhaustive_counts(field: Field, exponents, jobs: int) -> np.ndarray:
 # -- reduced route ------------------------------------------------------
 
 
+def _frobenius_classes(field: Field, f: int) -> dict[int, np.ndarray]:
+    """The smallest symbol of each orbit of <phi^f> on F_Q, phi: x -> x^p,
+    keyed by f2 with <phi^f2> the symbol's stabilizer: its orbit has f2 / f
+    symbols.  Built once per (field, f)."""
+    key = (field, f)
+    if key not in _FROBENIUS_CLASSES:
+        classes: dict[int, list[int]] = {}
+        for s in field.elements():
+            orbit = {field.pow(s, field.p**(f * i)) for i in range(2 * field.k // f)}
+            if s == min(orbit):
+                classes.setdefault(f * len(orbit), []).append(s)
+        _FROBENIUS_CLASSES[key] = {f2: np.array(reps) for f2, reps in classes.items()}
+    return _FROBENIUS_CLASSES[key]
+
+
+def _frobenius_tails(field: Field, symbols: list[np.ndarray], f: int = 1):
+    """(tables, orbit size) boxes holding one word per orbit of <phi> on the
+    words of the Q-row tables ``symbols``, with <phi^f> fixing what comes
+    before them: each coordinate keeps one symbol per orbit of the
+    stabilizer so far, split by the stabilizer that leaves, and the
+    coordinates after a trivial one (phi^f = 1) keep all Q symbols."""
+    if f == 2 * field.k or not symbols:
+        return [(symbols, f)]
+    return [([symbols[0][reps]] + tables, size)
+            for f2, reps in _frobenius_classes(field, f).items()
+            for tables, size in _frobenius_tails(field, symbols[1:], f2)]
+
+
 def _reduced_counts(field: Field, exponents, jobs: int) -> np.ndarray:
     """Counts from the exhaustive lines (zeros before t, 1 at t) split at
     the second nonzero coordinate u: zeros between t and u, omega^0 ..
     omega^(g-1) times row u, any symbols after u, weight (Q - 1)^2 / g;
-    and row t alone, weight Q - 1.  The guard reads the words in closed
-    form, before any table is built."""
+    and row t alone, weight Q - 1.  At g = 1 both leading symbols are 1,
+    which a -> a^p fixes, so the symbols after u are cut to one word per
+    orbit of <phi>, each weight (Q - 1)^2 times its orbit size.  The guard
+    reads the words in closed form, before any table is built."""
     big_q, n, k = field.order, field.order - 1, len(exponents)
     # Each next coordinate has the smallest gcd sum with those placed (with
     # all, while none is), ties by index: the boxes with the most symbols
@@ -214,7 +262,12 @@ def _reduced_counts(field: Field, exponents, jobs: int) -> np.ndarray:
         rest.remove(order[-1])
     exponents = [exponents[t] for t in order]
     g = [[gcd(e_u - e_t, n) for e_u in exponents] for e_t in exponents]
-    words = sum(1 + sum(g[t][u] * big_q**(k - 1 - u) for u in range(t + 1, k)) for t in range(k))
+    # Burnside: phi^i fixes the p^gcd(i, r) symbols of F_{p^gcd(i, r)}, and
+    # <phi> has r = 2k' elements for Q = p^(2k').
+    r = 2 * field.k
+    orbits = [sum(field.p**(j * gcd(i, r)) for i in range(r)) // r for j in range(k)]
+    words = sum(1 + sum(orbits[k - 1 - u] if g[t][u] == 1 else g[t][u] * big_q**(k - 1 - u)
+                        for u in range(t + 1, k)) for t in range(k))
     if words > _REDUCED_REPS_GUARD:
         raise SizeGuardError(
             f"reduced enumeration needs more than {_REDUCED_REPS_GUARD} "
@@ -228,8 +281,11 @@ def _reduced_counts(field: Field, exponents, jobs: int) -> np.ndarray:
     boxes = []
     for t in range(k):
         boxes.append(([scaled[t, :1]], n))
-        boxes += [([scaled[t, :1], scaled[u, :g[t][u]]] + symbols[u + 1:], n * n // g[t][u])
-                  for u in range(t + 1, k)]
+        for u in range(t + 1, k):
+            tails = _frobenius_tails(field, symbols[u + 1:]) if g[t][u] == 1 \
+                else [(symbols[u + 1:], 1)]
+            boxes += [([scaled[t, :1], scaled[u, :g[t][u]]] + tail, n * n * size // g[t][u])
+                      for tail, size in tails]
     return _planned_counts(field, k, boxes, jobs)
 
 

@@ -4,10 +4,12 @@ coefficient vectors, as in ``hermicode.rrspace``), the intersection
 multiplicity of the two curves at the origin, the integer Hermite
 normal form, linear combinations of rows through the add and mul
 tables, the weight counts of every message of a monomial code, one by
-one, and the same counts from one Hermite-normal-form box per support."""
+one, the same counts from one Hermite-normal-form box per support, and
+the dual code's weight distribution by the MacWilliams transform."""
 
+from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import comb, prod
 
 import numpy as np
 
@@ -118,3 +120,17 @@ def translation_counts(field, exponents, jobs=1):
     counts = weights._box_counts(field, boxes, jobs)
     counts[0] += 1  # zero message
     return counts
+
+
+def dual_distribution(counts, n, big_q):
+    """Weight distribution B_0 .. B_n of the dual of a length-n code over
+    F_Q whose weight enumerator is ``counts`` (weight -> words), by the
+    MacWilliams transform B_j = |C|^-1 sum_w A_w K_j(w), with the
+    Krawtchouk sums K_j(w) = sum_i (-1)^i (Q - 1)^(j - i) C(w, i) C(n - w, j - i)
+    in exact integers.  Each B_j is a Fraction: for a linear code it must be
+    a non-negative integer, with B_0 = 1 and sum B = Q^n / |C|."""
+    size = sum(counts.values())
+    return [Fraction(sum(a * sum((-1)**i * (big_q - 1)**(j - i) * comb(w, i) * comb(n - w, j - i)
+                                 for i in range(j + 1))
+                         for w, a in counts.items()), size)
+            for j in range(n + 1)]

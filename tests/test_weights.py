@@ -4,8 +4,10 @@ per-message encode scan and a from-scratch function-evaluation
 enumerator, the exhaustive route against a scan of every message and
 the reduced route against the exhaustive one and against one
 Hermite-normal-form box per support, the plans, the guard and the
-enumerators against the counting identities they must meet, and the
-distributions against their closed forms."""
+enumerators against the counting identities they must meet (the
+Frobenius cut's orbits among them, and the dual distributions of the
+MacWilliams transform), and the distributions against their closed
+forms."""
 
 import itertools
 import sys
@@ -15,7 +17,13 @@ from math import gcd, prod
 
 import numpy as np
 import pytest
-from oracles import evaluate, full_scan_counts, table_combination, translation_counts
+from oracles import (
+    dual_distribution,
+    evaluate,
+    full_scan_counts,
+    table_combination,
+    translation_counts,
+)
 
 from hermicode import agcode, rrspace, weights
 from hermicode.agcode import encode
@@ -122,7 +130,9 @@ def test_box_kernel_random_differential(monkeypatch, q, n, sizes):
 @pytest.mark.parametrize("n", [1, 24, 80])
 def test_histogram_branches_agree_at_their_boundary(n):
     rng = np.random.default_rng([23, n])
-    for size in (1, 512 * (n + 1) - 1, 512 * (n + 1), 512 * (n + 1) + 1):
+    # The last size is odd and spans three bincount slices, the last partial.
+    for size in (1, 512 * (n + 1) - 1, 512 * (n + 1), 512 * (n + 1) + 1,
+                 5 * weights._HISTOGRAM_PAIRS + 3):
         flat = rng.integers(0, n + 1, size).astype(np.uint8)
         assert np.array_equal(weights._histogram(flat, n), np.bincount(flat, minlength=n + 1))
 
@@ -412,7 +422,7 @@ def test_a_misweighted_plan_is_refused_before_the_kernel(monkeypatch, delta):
     exponents = agcode.build_code(f, 3).exponents.tolist()
     planned, kernel_calls = weights._planned_counts, []
     monkeypatch.setattr(weights, "_box_counts", lambda *args: kernel_calls.append(args))
-    for route, boxes in ((weights._exhaustive_counts, 4), (weights._reduced_counts, 10)):
+    for route, boxes in ((weights._exhaustive_counts, 4), (weights._reduced_counts, 17)):
         for i in range(boxes):
             def misweighted(field, k, plan, jobs, i=i):
                 assert len(plan) == boxes
@@ -438,6 +448,21 @@ def test_pless_power_moments(q, m):
     spread = gcd(n, *(code.exponents - code.exponents[0]).tolist())
     assert spread == (q - 1 if m == 2 else 1)
     assert (second == big_q**(k - 2) * (big_q - 1) * n * ((big_q - 1) * n + 1)) == (m >= 3)
+
+
+@pytest.mark.parametrize("q,m", sorted(ENUMERABLE))
+def test_dual_distribution_is_a_weight_distribution(q, m):
+    # The MacWilliams transform of every suite enumerator is the dual
+    # code's weight distribution: non-negative integers, one zero word and
+    # Q^(n - k) words in all.  At (5, 4) the dual has distance 4, with 288
+    # words of weight 4.
+    code = _code(q, m)
+    big_q, n, k = code.field.order, code.n, code.k
+    dual = dual_distribution(weight_enumerator(code).counts, n, big_q)
+    assert all(b.denominator == 1 and b >= 0 for b in dual)
+    assert dual[0] == 1 and sum(dual) == big_q**(n - k)
+    if (q, m) == (5, 4):
+        assert next(j for j in range(1, n + 1) if dual[j]) == 4 and dual[4] == 288
 
 
 def _mutated(monkeypatch, mutate):
@@ -556,59 +581,111 @@ def _words(boxes):
     return sum(prod(len(table) for table in factors) for factors, _ in boxes)
 
 
+def _route_order(f, exponents, boxes):
+    """The reduced route's coordinate order, read off its single-row boxes."""
+    rows = agcode.monomial_rows(f, exponents)
+    return [next(t for t in range(len(rows)) if np.array_equal(factors[0][0], rows[t]))
+            for factors, _ in boxes if len(factors) == 1]
+
+
+def _line_words(f, exponents):
+    """Words of the reduced plan with its coordinates in the order of
+    ``exponents``, in closed form: one for each single nonzero coordinate;
+    at g > 1, g rows at u and Q symbols at each of the j coordinates after
+    it; at g = 1, one word per orbit of x -> x^p on those j symbols, by
+    Burnside (1/r) sum_{i < r} p^(j gcd(i, r)) with r = 2k', Q = p^(2k')."""
+    big_q, n, k, r = f.order, f.order - 1, len(exponents), 2 * f.k
+    orbits = [sum(f.p**(j * gcd(i, r)) for i in range(r)) // r for j in range(k)]
+    words = k
+    for t in range(k):
+        for u in range(t + 1, k):
+            g = gcd(exponents[u] - exponents[t], n)
+            words += orbits[k - 1 - u] if g == 1 else g * big_q**(k - 1 - u)
+    return words
+
+
+def _phi_orbit(f, word):
+    """The orbit of a tuple of symbols under x -> x^p, coordinate-wise."""
+    return {tuple(f.pow(s, f.p**i) for s in word) for i in range(2 * f.k)}
+
+
 @pytest.mark.parametrize("q,m", [(4, 3), (5, 4)])
 def test_reduced_plan_splits_each_line_at_its_second_nonzero(monkeypatch, q, m):
-    # Box (t, u): the 1 at t, omega^0 .. omega^(g-1) times row u with
-    # g = gcd(e_u - e_t, Q - 1), all Q symbols after u, weight (Q - 1)^2 / g.
-    # Box (t): row t alone, weight Q - 1.  t and u run in the route's
+    # Box (t): row t alone, weight Q - 1.  Line (t, u): the 1 at t and
+    # omega^0 .. omega^(g-1) times row u, g = gcd(e_u - e_t, Q - 1).  At
+    # g > 1 one box with all Q symbols after u, weight (Q - 1)^2 / g.  At
+    # g = 1 each box holds some symbols of each coordinate after u, weight
+    # (Q - 1)^2 times an orbit size; where the tail has at most 2^14 words,
+    # the line's words meet every orbit of x -> x^p once, each weighted by
+    # its size, and elsewhere they make up Q^j.  t and u run in the route's
     # coordinate order, read off the single-row boxes.
     f = field_for_q(q)
     big_q, n = f.order, f.order - 1
     exponents = agcode.build_code(f, m).exponents.tolist()
     k = len(exponents)
-    rows = agcode.monomial_rows(f, exponents)
+    rows = agcode.monomial_rows(f, exponents).astype(np.uint8)
+    mul = f.mul_table.astype(np.uint8)
     plans = _recorded_plans(monkeypatch)
     weights._reduced_counts(f, exponents, 1)
     (boxes,) = plans
-    assert len(boxes) == k * (k + 1) // 2
-    order = [next(t for t in range(k) if np.array_equal(factors[0][0], rows[t]))
-             for factors, _ in boxes if len(factors) == 1]
+    order = _route_order(f, exponents, boxes)
     assert sorted(order) == list(range(k))
-    mul = f.mul_table.astype(np.uint8)
-    expected = []
+    assert all(table.dtype == np.uint8 for factors, _ in boxes for table in factors)
+    lines: dict = {}
+    for factors, weight in boxes:
+        lines.setdefault(tuple(table.tobytes() for table in factors[:2]), []).append(
+            (factors[2:], weight))
+    assert len(lines) == k * (k + 1) // 2
     for i, t in enumerate(order):
-        expected.append(([rows[t][None, :]], n))
+        assert lines[(rows[t][None, :].tobytes(),)] == [([], n)]
         for j in range(i + 1, k):
-            u, g = order[j], gcd(exponents[order[j]] - exponents[t], n)
-            tables = [rows[t][None, :], mul[f.exp_table[:g, None], rows[u]]]
-            expected.append((tables + [mul[:, rows[v]] for v in order[j + 1:]], n * n // g))
-    assert [weight for _, weight in boxes] == [weight for _, weight in expected]
-    for (factors, _), (tables, _) in zip(boxes, expected):
-        assert len(factors) == len(tables)
-        for table, want in zip(factors, tables):
-            assert table.dtype == np.uint8 and np.array_equal(table, want)
+            u, tail = order[j], order[j + 1:]
+            g = gcd(exponents[u] - exponents[t], n)
+            lead = (rows[t][None, :].tobytes(), mul[f.exp_table[:g, None], rows[u]].tobytes())
+            line = lines[lead]
+            if g > 1:
+                ((tables, weight),) = line
+                assert weight == n * n // g and len(tables) == len(tail)
+                assert all(np.array_equal(table, mul[:, rows[v]]) for table, v in zip(tables, tail))
+                continue
+            # Each table row is the row of v times one symbol.
+            symbol_of = [{mul[s, rows[v]].tobytes(): s for s in range(big_q)} for v in tail]
+            assert sum(weight * prod(map(len, tables)) for tables, weight in line) == \
+                n * n * big_q**len(tail)
+            if big_q**len(tail) > 1 << 14:
+                continue
+            seen = set()
+            for tables, weight in line:
+                assert len(tables) == len(tail)
+                symbols = [[lookup[row.tobytes()] for row in table]
+                           for table, lookup in zip(tables, symbol_of)]
+                for word in itertools.product(*symbols):
+                    orbit = _phi_orbit(f, word)
+                    assert weight == n * n * len(orbit) and min(orbit) not in seen
+                    seen.add(min(orbit))
     # The order matters: in code order the large boxes hold more rows at u.
-    in_code_order = sum(1 + sum(gcd(exponents[u] - exponents[t], n) * big_q**(k - 1 - u)
-                                for u in range(t + 1, k)) for t in range(k))
-    assert _words(boxes) <= in_code_order
+    words = _line_words(f, [exponents[t] for t in order])
+    assert _words(boxes) == words <= _line_words(f, exponents)
     if (q, m) == (5, 4):
-        assert (_words(boxes), in_code_order) == (11_070_483, 25_091_571)
+        assert (len(boxes), words, _line_words(f, exponents)) == (45, 5_978_713, 25_075_741)
 
 
 @pytest.mark.parametrize("q,m", sorted(ENUMERABLE) + [(7, 4), (8, 4), (9, 4)])
 def test_reduced_scans_few_more_words_than_translation(monkeypatch, q, m):
-    # The lines keep the translation symmetry at their second nonzero only;
-    # the greedy coordinate order keeps the words scanned within 15 %.
+    # The lines keep the translation symmetry at their second nonzero only,
+    # but cut the g = 1 lines by x -> x^p: no more words than one box per
+    # support, and exactly the closed form in the route's coordinate order.
     f = field_for_q(q)
     exponents = agcode.build_code(f, m).exponents.tolist()
     plans = _recorded_plans(monkeypatch)
     weights._reduced_counts(f, exponents, 1)
     translation_counts(f, exponents)
     reduced, translation = map(_words, plans)
-    assert translation <= reduced <= 1.15 * translation
+    assert reduced <= translation
+    assert reduced == _line_words(f, [exponents[t] for t in _route_order(f, exponents, plans[0])])
 
 
-@pytest.mark.parametrize("q,m", [(4, 3), (5, 4), (7, 4)])
+@pytest.mark.parametrize("q,m", [(4, 3), (5, 4), (7, 4), (8, 4), (9, 4)])
 def test_reduced_guard_reads_the_plan_words(monkeypatch, q, m):
     f = field_for_q(q)
     exponents = agcode.build_code(f, m).exponents.tolist()
@@ -624,9 +701,9 @@ def test_reduced_guard_reads_the_plan_words(monkeypatch, q, m):
 
 
 def test_reduced_guard_refuses_before_any_table(monkeypatch):
-    # The one-box-per-support plan refused exactly q >= 7 at m >= 4 (at
-    # (7, 4) 2.9e8 representatives against 2^27); the lines refuse the same
-    # codes, (7, 4) at 3.1e8 words, from the exponents alone.
+    # The lines refuse q >= 7 at m >= 4 from the exponents alone, except
+    # (7, 4) and (8, 4), which the Frobenius cut brings to 1.7e8 and 1.9e8
+    # words under 2^28; (9, 4) stays refused at 9.7e8.
     codes = {(q, m): agcode.build_code(field_for_q(q), m).exponents.tolist()
              for q in SUPPORTED_Q for m in range(2, q)}
     built, real = [], agcode.monomial_rows
@@ -644,7 +721,56 @@ def test_reduced_guard_refuses_before_any_table(monkeypatch):
             refused.add((q, m))
         else:
             assert len(built) == 1, (q, m)
-    assert refused == {(q, m) for q in (7, 8, 9) for m in range(4, q)}
+    assert refused == {(q, m) for q in (7, 8, 9) for m in range(4, q)} - {(7, 4), (8, 4)}
+
+
+@pytest.mark.parametrize("q", sorted(SUPPORTED_Q))
+def test_frobenius_tails_cover_every_word(q):
+    # The boxes of j symbols, each word times its orbit size, make Q^j, with
+    # one word per orbit of x -> x^p (Burnside); for j <= 2 each word's
+    # orbit is computed, and the words meet every orbit once.
+    f = field_for_q(q)
+    big_q, r = f.order, 2 * f.k
+    symbols = np.arange(big_q, dtype=np.uint8)[:, None]
+    for j in range(6):
+        tails = weights._frobenius_tails(f, [symbols] * j)
+        assert sum(size * prod(map(len, tables)) for tables, size in tails) == big_q**j, j
+        assert _words(tails) == sum(f.p**(j * gcd(i, r)) for i in range(r)) // r, j
+        if j > 2:
+            continue
+        orbits = set()
+        for tables, size in tails:
+            for word in itertools.product(*(table[:, 0].tolist() for table in tables)):
+                orbit = _phi_orbit(f, word)
+                assert size == len(orbit) and min(orbit) not in orbits, (j, word)
+                orbits.add(min(orbit))
+        assert len(orbits) == _words(tails)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("q,m", [(4, 3), (8, 3), (5, 4)])
+def test_a_misweighted_orbit_is_refused_before_the_kernel(monkeypatch, q, m, delta):
+    # Each box of a g = 1 line, weight (Q - 1)^2 times an orbit size, in
+    # turn gets that multiplier off by delta: the plan no longer makes up
+    # Q^k, and no tile may run.
+    f = field_for_q(q)
+    n = f.order - 1
+    exponents = agcode.build_code(f, m).exponents.tolist()
+    plans = _recorded_plans(monkeypatch)
+    weights._reduced_counts(f, exponents, 1)
+    cut = [i for i, (_, weight) in enumerate(plans[0]) if weight % (n * n) == 0]
+    assert len(cut) > len(exponents)
+    planned = weights._planned_counts
+    for i in cut:
+        def misweighted(field, k, plan, jobs, i=i):
+            factors, weight = plan[i]
+            plan = plan[:i] + [(factors, weight + delta * n * n)] + plan[i + 1:]
+            return planned(field, k, plan, jobs)
+
+        monkeypatch.setattr(weights, "_planned_counts", misweighted)
+        with pytest.raises(RuntimeError, match="plan covers"):
+            weights._reduced_counts(f, exponents, 1)
+    assert len(plans) == 1
 
 
 class CountingPool(ThreadPoolExecutor):
@@ -673,10 +799,10 @@ def test_workers_are_capped_at_the_chunk_count(monkeypatch):
     # finish before the next box's start, so no more threads start than
     # the largest box has tiles.  With the default tile every box of
     # q = 4, m = 3 is one tile and runs inline; 2^8 words cut the largest
-    # exhaustive box, 16^3 words, into 16 tiles, 2^6 words the largest
-    # reduced box into 4.
+    # exhaustive box, 16^3 words, into 16 tiles, 2^4 words the largest
+    # reduced boxes, 3 x 16 words, into 3.
     code = agcode.build_code(field_for_q(4), 3)
-    methods = {"exhaustive": 1 << 8, "reduced": 1 << 6}
+    methods = {"exhaustive": 1 << 8, "reduced": 1 << 4}
     base = {method: weight_enumerator(code, method, jobs=1).counts for method in methods}
     monkeypatch.setattr(weights, "_ENUMERATORS", {})
     monkeypatch.setattr(CountingPool, "pools", [])
@@ -690,7 +816,7 @@ def test_workers_are_capped_at_the_chunk_count(monkeypatch):
         monkeypatch.setattr(weights, "_TILE_WORDS", tile)
         weights._ENUMERATORS.clear()
         assert weight_enumerator(code, method, jobs=1000).counts == base[method]
-    assert [max(pool.maps) for pool in CountingPool.pools] == [16, 4]
+    assert [max(pool.maps) for pool in CountingPool.pools] == [16, 3]
     for pool in CountingPool.pools:
         assert 1 <= pool.threads <= max(pool.maps)
 

@@ -13,13 +13,15 @@ Statuses, every one decided in ``_judge``:
   the observation is still recorded in the detail.
 
 Exhaustive enumeration, of every message up to a nonzero scalar with
-one box per leading coordinate, is the arbiter throughout.  Wherever the
-message space is at most CROSS_CHECK_LIMIT the reduced enumerator is
-never trusted alone: the exhaustive one must agree exactly before any
-claim is judged.  That agreement checks the reduced route's shift
-normalisation (g rows at each line's second nonzero coordinate, weight
-(Q - 1)^2 / g) and its coordinate order, not the kernel or the monomial
-rows that both routes share; those have their own oracle tests.
+one box per leading coordinate, is the arbiter throughout.  The policy
+lives in ``weight_enumerator(code, "auto")``, which every claim reads:
+wherever the message space is at most ``weights.CROSS_CHECK_LIMIT`` the
+reduced enumerator is never trusted alone, and the exhaustive one must
+agree exactly before any claim is judged.  That agreement checks the
+reduced route's shift normalisation (g rows at each line's second
+nonzero coordinate, weight (Q - 1)^2 / g) and its coordinate order, not
+the kernel or the monomial rows that both routes share; those have their
+own oracle tests.
 Equality across orbit choices is settled by ``build_code``, which
 proves every orbit's code equal to the one monomial code enumerated.
 """
@@ -41,9 +43,6 @@ SUITE_QS = (3, 4, 5, 7, 8)
 
 # (q, m) pairs whose full weight enumerator is computed in the suite.
 ENUMERABLE = {(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (8, 2), (8, 3)}
-
-# Message spaces up to this size are enumerated by both routes.
-CROSS_CHECK_LIMIT = 1 << 23
 
 
 @dataclass
@@ -80,19 +79,8 @@ def code_for(q: int, m: int) -> agcode.LinearCode:
 
 
 def checked_enumerator(code: agcode.LinearCode, jobs: int = 1) -> weights.WeightEnumerator:
-    """Enumerator with the cross-check policy: wherever the message space
-    is at most CROSS_CHECK_LIMIT, run both routes and insist on exact
-    agreement."""
-    if code.field.order**code.k <= CROSS_CHECK_LIMIT:
-        ex = weight_enumerator(code, "exhaustive", jobs)
-        red = weight_enumerator(code, "reduced", jobs)
-        if ex != red:
-            raise RuntimeError(
-                f"enumerator mismatch at q={code.q}, m={code.m}: "
-                f"exhaustive {ex.counts} vs reduced {red.counts}"
-            )
-        return ex
-    return weight_enumerator(code, "reduced", jobs)
+    """The cross-checked enumerator of ``weight_enumerator(code, "auto")``."""
+    return weight_enumerator(code, "auto", jobs)
 
 
 # -- orbit containment ----------------------------------------------------

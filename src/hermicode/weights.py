@@ -2,12 +2,14 @@
 root counts of the sparse polynomials that control the low weights.
 
 Two independent enumeration routes exist and must agree wherever both
-run:
+run; ``auto`` runs both up to CROSS_CHECK_LIMIT messages.  One guard
+refuses either route whose plan scans over _WORDS_GUARD words, counted
+in closed form before any table is built:
 
 * exhaustive -- every message up to a nonzero scalar, one box per
   leading coordinate t (zeros before t, 1 at t, any symbols after it),
   each word counted Q - 1 times: its nonzero multiples share its weight.
-  Ground truth; guarded to message spaces of at most 2^26.
+  Ground truth, scanning (Q^k - 1) / (Q - 1) words.
 
 * reduced -- weights are invariant under nonzero scalars and under the
   coordinate shift, and the shift multiplies message coordinate t by
@@ -65,9 +67,8 @@ from . import agcode, rrspace
 from .agcode import Codeword, LinearCode, encode
 from .gf import Field
 
-EXHAUSTIVE_GUARD = 1 << 26
-AUTO_EXHAUSTIVE_LIMIT = 1 << 22
-_REDUCED_REPS_GUARD = 1 << 28
+CROSS_CHECK_LIMIT = 1 << 23  # messages
+_WORDS_GUARD = 1 << 28
 _TILE_WORDS = 1 << 18
 _HISTOGRAM_PAIRS = 1 << 15
 _ENUMERATORS: dict[tuple[Field, tuple[int, ...], str], WeightEnumerator] = {}
@@ -76,6 +77,13 @@ _FROBENIUS_CLASSES: dict[tuple[Field, int], dict[int, np.ndarray]] = {}
 
 class SizeGuardError(ValueError):
     """The requested enumeration exceeds a hard size guard."""
+
+
+def _guard(route: str, words: int) -> None:
+    """Refuse a route's plan of more than _WORDS_GUARD words."""
+    if words > _WORDS_GUARD:
+        raise SizeGuardError(f"{route} enumeration needs {words} representatives, "
+                             f"more than the {route} guard of {_WORDS_GUARD} words")
 
 
 class WeightEnumerator:
@@ -200,11 +208,8 @@ def _planned_counts(field: Field, k: int, boxes, jobs: int) -> np.ndarray:
 
 
 def _exhaustive_counts(field: Field, exponents, jobs: int) -> np.ndarray:
+    _guard("exhaustive", (field.order**len(exponents) - 1) // (field.order - 1))
     rows = agcode.monomial_rows(field, exponents)
-    space = field.order**len(rows)
-    if space > EXHAUSTIVE_GUARD:
-        raise SizeGuardError(
-            f"message space {space} exceeds the exhaustive guard {EXHAUSTIVE_GUARD}")
     mul = field.mul_table.astype(np.uint8)
     # Leading coordinate t: zeros before it, the scalar 1 (row 1 of mul) at it.
     boxes = [([mul[1:2, rows[t]]] + [mul[:, row] for row in rows[t + 1:]], field.order - 1)
@@ -268,11 +273,7 @@ def _reduced_counts(field: Field, exponents, jobs: int) -> np.ndarray:
     orbits = [sum(field.p**(j * gcd(i, r)) for i in range(r)) // r for j in range(k)]
     words = sum(1 + sum(orbits[k - 1 - u] if g[t][u] == 1 else g[t][u] * big_q**(k - 1 - u)
                         for u in range(t + 1, k)) for t in range(k))
-    if words > _REDUCED_REPS_GUARD:
-        raise SizeGuardError(
-            f"reduced enumeration needs more than {_REDUCED_REPS_GUARD} "
-            "representatives; the code is too large to enumerate"
-        )
+    _guard("reduced", words)
     rows = agcode.monomial_rows(field, exponents)
     mul = field.mul_table.astype(np.uint8)
     # scaled[t, j] = omega^j * row t, so scaled[t, :1] is row t itself.
@@ -295,14 +296,22 @@ def _reduced_counts(field: Field, exponents, jobs: int) -> np.ndarray:
 def weight_enumerator(code: LinearCode, method: str = "auto", jobs: int = 1) -> WeightEnumerator:
     """Exact weight enumerator of the monomial code of E = ``code.exponents``,
     which ``build_code`` proved equal to the curve-built one; cached per
-    (field, E, route), so every orbit of a (q, m) shares one entry."""
+    (field, E, route), so every orbit of a (q, m) shares one entry.  ``auto``
+    runs both routes up to CROSS_CHECK_LIMIT messages, insists they agree
+    and returns the exhaustive one; above it, the reduced route alone."""
     if method not in ("auto", "exhaustive", "reduced"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "exhaustive" if code.field.order**code.k <= AUTO_EXHAUSTIVE_LIMIT else "reduced"
     # The thread pool would run jobs=1.5 too; refuse what is not an integer.
     if not hasattr(type(jobs), "__index__") or jobs < 1:
         raise ValueError(f"jobs={jobs!r} is not a positive integer")
+    if method == "auto":
+        if code.field.order**code.k > CROSS_CHECK_LIMIT:
+            return weight_enumerator(code, "reduced", jobs)
+        ex, red = (weight_enumerator(code, route, jobs) for route in ("exhaustive", "reduced"))
+        if ex != red:
+            raise RuntimeError(f"enumerator mismatch at q={code.q}, m={code.m}: "
+                               f"exhaustive {ex.counts} vs reduced {red.counts}")
+        return ex
     exponents = tuple(code.exponents.tolist())
     key = (code.field, exponents, method)
     if key in _ENUMERATORS:

@@ -129,9 +129,18 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
 
 
 def test_size_guard_exit_3():
-    rc, _, err = run_cli(["weights", "--q", "5", "--m", "4", "--method", "exhaustive"])
-    assert rc == 3
+    # (5, 4), at 2.5e8 words, is the largest code the exhaustive guard
+    # admits; (7, 4) needs 1.4e10.
+    rc, out, err = run_cli(["weights", "--q", "7", "--m", "4", "--method", "exhaustive"])
+    assert rc == 3 and out == ""
     assert "guard" in err
+
+
+def test_auto_weights_are_cross_checked():
+    # 49^4 messages: both routes run, and the exhaustive one is reported.
+    rc, out, _ = run_cli(["weights", "--q", "7", "--m", "3"])
+    assert rc == 0
+    assert '"method":"exhaustive"' in out
 
 
 @pytest.mark.parametrize("m", [4, 6])
@@ -155,8 +164,8 @@ def test_jobs_must_be_a_positive_integer(command, jobs):
 
 @pytest.mark.parametrize("method", ["reduced", "auto"])
 def test_reduced_route_refuses_large_codes_with_its_own_guard(method):
-    # k = 16 at q = 7, m = 6: the representatives guard refuses the code,
-    # and no exhaustive fallback runs into the message-space guard.
+    # k = 16 at q = 7, m = 6: the reduced guard refuses the code, and no
+    # exhaustive fallback runs into the exhaustive guard.
     rc, _, err = run_cli(["weights", "--q", "7", "--m", "6", "--method", method])
     assert rc == 3
     assert "representatives" in err

@@ -138,8 +138,9 @@ def test_orbit_choice_claim_rests_on_build_code(monkeypatch):
 
 
 def test_cross_check_catches_a_tampered_reduced_route(monkeypatch):
-    # (8, 2) has 4,096 messages, under CROSS_CHECK_LIMIT, so both routes
-    # run and a reduced route that moves words between weights is caught.
+    # (8, 2) has 4,096 messages, under weights.CROSS_CHECK_LIMIT, so both
+    # routes run, in checked_enumerator and in weight_enumerator's auto
+    # alike, and a reduced route that moves words between weights is caught.
     # One word moves down from the top weight and one up from the lowest
     # nonzero weight: the total and the first Pless moment, which
     # weight_enumerator checks on its own, stay, and at m = 2 the second
@@ -155,10 +156,11 @@ def test_cross_check_catches_a_tampered_reduced_route(monkeypatch):
         counts[low + 1] += 1
         return counts
 
-    monkeypatch.setattr(weights, "_ENUMERATORS", {})
     monkeypatch.setattr(weights, "_reduced_counts", tampered)
-    with pytest.raises(RuntimeError, match="enumerator mismatch at q=8, m=2"):
-        verify.checked_enumerator(verify.code_for(8, 2))
+    for enumerate_checked in (verify.checked_enumerator, weights.weight_enumerator):
+        monkeypatch.setattr(weights, "_ENUMERATORS", {})
+        with pytest.raises(RuntimeError, match="enumerator mismatch at q=8, m=2"):
+            enumerate_checked(verify.code_for(8, 2))
 
 
 def test_exit_status(monkeypatch):

@@ -565,7 +565,7 @@ def test_reduced_equals_translation_on_random_exponent_sets(monkeypatch):
 
 def _recorded_plans(monkeypatch):
     """The box lists handed to the kernel from now on, which counts
-    nothing, with the reduced route's guard lifted."""
+    nothing, with the words guard lifted."""
     plans = []
 
     def record(field, boxes, jobs):
@@ -573,7 +573,7 @@ def _recorded_plans(monkeypatch):
         return np.zeros(field.order, dtype=np.int64)
 
     monkeypatch.setattr(weights, "_box_counts", record)
-    monkeypatch.setattr(weights, "_REDUCED_REPS_GUARD", 1 << 62)
+    monkeypatch.setattr(weights, "_WORDS_GUARD", 1 << 62)
     return plans
 
 
@@ -685,43 +685,55 @@ def test_reduced_scans_few_more_words_than_translation(monkeypatch, q, m):
     assert reduced == _line_words(f, [exponents[t] for t in _route_order(f, exponents, plans[0])])
 
 
-@pytest.mark.parametrize("q,m", [(4, 3), (5, 4), (7, 4), (8, 4), (9, 4)])
+@pytest.mark.parametrize("q,m", [(4, 3), (5, 4), (7, 4), (8, 4), (9, 4), (9, 3)])
 def test_reduced_guard_reads_the_plan_words(monkeypatch, q, m):
+    # One guard for both routes: each is admitted at exactly the words its
+    # plan scans and refused one word below, by a message naming its route.
+    # The exhaustive plan scans (Q^k - 1) / (Q - 1) words, one per line.
     f = field_for_q(q)
     exponents = agcode.build_code(f, m).exponents.tolist()
     plans = _recorded_plans(monkeypatch)
-    weights._reduced_counts(f, exponents, 1)
-    words = _words(plans[0])
-    monkeypatch.setattr(weights, "_REDUCED_REPS_GUARD", words)
-    weights._reduced_counts(f, exponents, 1)
-    monkeypatch.setattr(weights, "_REDUCED_REPS_GUARD", words - 1)
-    with pytest.raises(SizeGuardError, match="representatives"):
-        weights._reduced_counts(f, exponents, 1)
-    assert len(plans) == 2
+    for route in ("reduced", "exhaustive"):
+        counts = getattr(weights, f"_{route}_counts")
+        plans.clear()
+        monkeypatch.setattr(weights, "_WORDS_GUARD", 1 << 62)
+        counts(f, exponents, 1)
+        words = _words(plans[0])
+        if route == "exhaustive":
+            assert words == (f.order**len(exponents) - 1) // (f.order - 1)
+        monkeypatch.setattr(weights, "_WORDS_GUARD", words)
+        counts(f, exponents, 1)
+        monkeypatch.setattr(weights, "_WORDS_GUARD", words - 1)
+        with pytest.raises(SizeGuardError, match=f"representatives, more than the {route} guard"):
+            counts(f, exponents, 1)
+        assert len(plans) == 2, route
 
 
 def test_reduced_guard_refuses_before_any_table(monkeypatch):
-    # The lines refuse q >= 7 at m >= 4 from the exponents alone, except
-    # (7, 4) and (8, 4), which the Frobenius cut brings to 1.7e8 and 1.9e8
-    # words under 2^28; (9, 4) stays refused at 9.7e8.
+    # The reduced lines refuse q >= 7 at m >= 4 from the exponents alone,
+    # except (7, 4) and (8, 4), which the Frobenius cut brings to 1.7e8 and
+    # 1.9e8 words under 2^28; (9, 4) stays refused at 9.7e8.  The
+    # exhaustive lines refuse every k >= 7 code but (5, 4), at 2.5e8 words.
     codes = {(q, m): agcode.build_code(field_for_q(q), m).exponents.tolist()
              for q in SUPPORTED_Q for m in range(2, q)}
     built, real = [], agcode.monomial_rows
     monkeypatch.setattr(agcode, "monomial_rows", lambda *args: built.append(args) or real(*args))
     monkeypatch.setattr(weights, "_box_counts",
                         lambda field, boxes, jobs: np.zeros(field.order, dtype=np.int64))
-    refused = set()
-    for (q, m), exponents in codes.items():
-        built.clear()
-        try:
-            weights._reduced_counts(field_for_q(q), exponents, 1)
-        except SizeGuardError as exc:
-            assert "representatives" in str(exc)
-            assert built == [], (q, m)
-            refused.add((q, m))
-        else:
-            assert len(built) == 1, (q, m)
-    assert refused == {(q, m) for q in (7, 8, 9) for m in range(4, q)} - {(7, 4), (8, 4)}
+    refused = {"reduced": set(), "exhaustive": set()}
+    for route, found in refused.items():
+        for (q, m), exponents in codes.items():
+            built.clear()
+            try:
+                getattr(weights, f"_{route}_counts")(field_for_q(q), exponents, 1)
+            except SizeGuardError as exc:
+                assert "representatives" in str(exc) and f"{route} guard" in str(exc)
+                assert built == [], (route, q, m)
+                found.add((q, m))
+            else:
+                assert len(built) == 1, (route, q, m)
+    large = {(q, m) for q in (7, 8, 9) for m in range(4, q)}
+    assert refused == {"reduced": large - {(7, 4), (8, 4)}, "exhaustive": large}
 
 
 @pytest.mark.parametrize("q", sorted(SUPPORTED_Q))
@@ -855,9 +867,30 @@ def test_weight_enumerator_refuses_nonpositive_jobs(jobs):
 
 
 def test_exhaustive_guard():
-    code = _code(5, 4)  # 25^7 messages
-    with pytest.raises(SizeGuardError):
+    code = _code(7, 4)  # 49^7 messages, 1.4e10 lines
+    with pytest.raises(SizeGuardError, match="exhaustive guard"):
         weight_enumerator(code, "exhaustive")
+
+
+def test_auto_is_the_cross_checked_enumerator(monkeypatch):
+    # (7, 3) has 49^4 messages, at most CROSS_CHECK_LIMIT: both routes run
+    # and agree, and the exhaustive enumerator is returned.  (8, 3), at
+    # 64^4, runs the reduced route alone.
+    monkeypatch.setattr(weights, "_ENUMERATORS", {})
+    assert 49**4 <= weights.CROSS_CHECK_LIMIT < 64**4
+    auto = weight_enumerator(_code(7, 3))
+    assert auto.method == "exhaustive"
+    assert sorted(route for *_, route in weights._ENUMERATORS) == ["exhaustive", "reduced"]
+    assert auto is weight_enumerator(_code(7, 3), "exhaustive")
+    assert auto == weight_enumerator(_code(7, 3), "reduced")
+
+    def refused(*args):
+        raise AssertionError("the exhaustive route ran above CROSS_CHECK_LIMIT")
+
+    monkeypatch.setattr(weights, "_exhaustive_counts", refused)
+    auto = weight_enumerator(_code(8, 3))
+    assert auto.method == "reduced"
+    assert auto is weight_enumerator(_code(8, 3), "reduced")
 
 
 def test_reduced_handles_the_largest_small_code():

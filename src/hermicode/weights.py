@@ -2,9 +2,10 @@
 root counts of the sparse polynomials that control the low weights.
 
 Two independent enumeration routes exist and must agree wherever both
-run; ``auto`` runs both up to CROSS_CHECK_LIMIT messages.  One guard
-refuses either route whose plan scans over _WORDS_GUARD words, counted
-in closed form before any table is built:
+run; ``auto`` runs both up to CROSS_CHECK_LIMIT messages.  A route is
+its plan, a generator of product boxes of symbol sets, walked once
+before any table is built: refused as soon as its words pass
+_WORDS_GUARD, and unless its boxes cover every message:
 
 * exhaustive -- every message up to a nonzero scalar, one box per
   leading coordinate t (zeros before t, 1 at t, any symbols after it),
@@ -31,16 +32,15 @@ in closed form before any table is built:
   boxes of one word per <phi>-orbit: each symbol after u represents an
   orbit of the stabilizer of the symbols before it, the boxes split by
   the stabilizer left, which takes all Q symbols once it is trivial,
-  and each word weighs (Q - 1)^2 times its orbit size.  The guard counts
-  those words by Burnside's lemma.
+  and each word weighs (Q - 1)^2 times its orbit size.
 
 Both routes count the code of ``agcode.monomial_rows`` for (field, E),
 which ``build_code`` proved equal to every orbit's curve-built code (the
 witnesses and root counts below stay on the curve, as its oracles).
-Both walk product boxes, one kernel counting every box: each coordinate
-has a table of its scaled monomial row (1 or all Q scalars, omega^0 ..
-omega^(g - 1) at the reduced route's u, or orbit representatives after
-a cut u), as uint8.
+One kernel counts every box: each coordinate's symbol set (1, all Q
+symbols, omega^0 .. omega^(g - 1) at the reduced route's u, or orbit
+representatives after a cut u) times its monomial row is its table, as
+uint8.
 A box's tables split into two halves of balanced size, each folded
 symbol-major into an (n, words) array of its partial sums, the left one
 negated, so a word has a zero wherever neg(left) == right.  A tile, some
@@ -77,13 +77,6 @@ _FROBENIUS_CLASSES: dict[tuple[Field, int], dict[int, np.ndarray]] = {}
 
 class SizeGuardError(ValueError):
     """The requested enumeration exceeds a hard size guard."""
-
-
-def _guard(route: str, words: int) -> None:
-    """Refuse a route's plan of more than _WORDS_GUARD words."""
-    if words > _WORDS_GUARD:
-        raise SizeGuardError(f"{route} enumeration needs {words} representatives, "
-                             f"more than the {route} guard of {_WORDS_GUARD} words")
 
 
 class WeightEnumerator:
@@ -192,14 +185,27 @@ def _tiled_box(field: Field, add: np.ndarray, factors, pool_map) -> np.ndarray:
     return sum((map if tiles == 1 else pool_map)(tile, range(0, left, width)))
 
 
-def _planned_counts(field: Field, k: int, boxes, jobs: int) -> np.ndarray:
-    """Counts of a k-coordinate code from the (factors, weight) boxes of a
-    route plus the zero message, refused before any tile runs unless the
-    boxes' words, each counted weight times, and the zero message make Q^k."""
-    planned = 1 + sum(weight * prod(len(table) for table in factors) for factors, weight in boxes)
-    if planned != field.order**k:
-        raise RuntimeError(f"enumeration plan covers {planned} messages, not {field.order**k}")
-    counts = _box_counts(field, boxes, jobs)
+def _route_counts(field: Field, route: str, exponents, jobs: int) -> np.ndarray:
+    """Counts of the monomial code of (field, E = ``exponents``) from the
+    (factors, weight) boxes of the route's plan plus the zero message.  The
+    plan is walked once before any table is built: refused as soon as its
+    words pass _WORDS_GUARD, and unless its words, each counted weight
+    times, and the zero message make Q^k."""
+    big_q, plan, words, covered = field.order, [], 0, 1
+    for factors, weight in (_reduced_plan if route == "reduced" else _exhaustive_plan)(field, exponents):
+        box = prod(big_q if s is None else len(s) for _, s in factors)
+        words += box
+        if words > _WORDS_GUARD:
+            raise SizeGuardError(f"{route} enumeration needs {words} or more representatives, "
+                                 f"more than the {route} guard of {_WORDS_GUARD} words")
+        covered += weight * box
+        plan.append((factors, weight))
+    if covered != big_q**len(exponents):
+        raise RuntimeError(f"enumeration plan covers {covered} messages, not {big_q**len(exponents)}")
+    mul = field.mul_table.astype(np.uint8)
+    full = [mul[:, row] for row in agcode.monomial_rows(field, exponents)]
+    counts = _box_counts(field, [([full[c] if s is None else full[c][s] for c, s in factors], weight)
+                                 for factors, weight in plan], jobs)
     counts[0] += 1  # zero message
     return counts
 
@@ -207,14 +213,12 @@ def _planned_counts(field: Field, k: int, boxes, jobs: int) -> np.ndarray:
 # -- exhaustive route ---------------------------------------------------
 
 
-def _exhaustive_counts(field: Field, exponents, jobs: int) -> np.ndarray:
-    _guard("exhaustive", (field.order**len(exponents) - 1) // (field.order - 1))
-    rows = agcode.monomial_rows(field, exponents)
-    mul = field.mul_table.astype(np.uint8)
-    # Leading coordinate t: zeros before it, the scalar 1 (row 1 of mul) at it.
-    boxes = [([mul[1:2, rows[t]]] + [mul[:, row] for row in rows[t + 1:]], field.order - 1)
-             for t in range(len(rows))]
-    return _planned_counts(field, len(rows), boxes, jobs)
+def _exhaustive_plan(field: Field, exponents):
+    """Leading coordinate t: zeros before it, the scalar 1 at it, any
+    symbols after it, weight Q - 1."""
+    k = len(exponents)
+    for t in range(k):
+        yield [(t, [1])] + [(c, None) for c in range(t + 1, k)], field.order - 1
 
 
 # -- reduced route ------------------------------------------------------
@@ -235,28 +239,28 @@ def _frobenius_classes(field: Field, f: int) -> dict[int, np.ndarray]:
     return _FROBENIUS_CLASSES[key]
 
 
-def _frobenius_tails(field: Field, symbols: list[np.ndarray], f: int = 1):
-    """(tables, orbit size) boxes holding one word per orbit of <phi> on the
-    words of the Q-row tables ``symbols``, with <phi^f> fixing what comes
+def _frobenius_tails(field: Field, coords: list[int], f: int = 1):
+    """(factors, orbit size) boxes holding one word per orbit of <phi> on
+    the words of all symbols at ``coords``, with <phi^f> fixing what comes
     before them: each coordinate keeps one symbol per orbit of the
     stabilizer so far, split by the stabilizer that leaves, and the
     coordinates after a trivial one (phi^f = 1) keep all Q symbols."""
-    if f == 2 * field.k or not symbols:
-        return [(symbols, f)]
-    return [([symbols[0][reps]] + tables, size)
-            for f2, reps in _frobenius_classes(field, f).items()
-            for tables, size in _frobenius_tails(field, symbols[1:], f2)]
+    if f == 2 * field.k or not coords:
+        yield [(c, None) for c in coords], f
+        return
+    for f2, reps in _frobenius_classes(field, f).items():
+        for tail, size in _frobenius_tails(field, coords[1:], f2):
+            yield [(coords[0], reps)] + tail, size
 
 
-def _reduced_counts(field: Field, exponents, jobs: int) -> np.ndarray:
-    """Counts from the exhaustive lines (zeros before t, 1 at t) split at
-    the second nonzero coordinate u: zeros between t and u, omega^0 ..
-    omega^(g-1) times row u, any symbols after u, weight (Q - 1)^2 / g;
-    and row t alone, weight Q - 1.  At g = 1 both leading symbols are 1,
-    which a -> a^p fixes, so the symbols after u are cut to one word per
-    orbit of <phi>, each weight (Q - 1)^2 times its orbit size.  The guard
-    reads the words in closed form, before any table is built."""
-    big_q, n, k = field.order, field.order - 1, len(exponents)
+def _reduced_plan(field: Field, exponents):
+    """The exhaustive lines (zeros before t, 1 at t) split at the second
+    nonzero coordinate u: zeros between t and u, omega^0 .. omega^(g-1)
+    at u, any symbols after u, weight (Q - 1)^2 / g; and t alone, weight
+    Q - 1.  At g = 1 both leading symbols are 1, which a -> a^p fixes, so
+    the symbols after u are cut to one word per orbit of <phi>, each
+    weight (Q - 1)^2 times its orbit size."""
+    n, k = field.order - 1, len(exponents)
     # Each next coordinate has the smallest gcd sum with those placed (with
     # all, while none is), ties by index: the boxes with the most symbols
     # after u then have few rows at u.
@@ -265,29 +269,15 @@ def _reduced_counts(field: Field, exponents, jobs: int) -> np.ndarray:
         placed = order or range(k)
         order.append(min(rest, key=lambda u: sum(gcd(exponents[u] - exponents[t], n) for t in placed)))
         rest.remove(order[-1])
-    exponents = [exponents[t] for t in order]
-    g = [[gcd(e_u - e_t, n) for e_u in exponents] for e_t in exponents]
-    # Burnside: phi^i fixes the p^gcd(i, r) symbols of F_{p^gcd(i, r)}, and
-    # <phi> has r = 2k' elements for Q = p^(2k').
-    r = 2 * field.k
-    orbits = [sum(field.p**(j * gcd(i, r)) for i in range(r)) // r for j in range(k)]
-    words = sum(1 + sum(orbits[k - 1 - u] if g[t][u] == 1 else g[t][u] * big_q**(k - 1 - u)
-                        for u in range(t + 1, k)) for t in range(k))
-    _guard("reduced", words)
-    rows = agcode.monomial_rows(field, exponents)
-    mul = field.mul_table.astype(np.uint8)
-    # scaled[t, j] = omega^j * row t, so scaled[t, :1] is row t itself.
-    scaled = mul[field.exp_table[:n, None], rows[:, None, :]]
-    symbols = [mul[:, row] for row in rows]
-    boxes = []
-    for t in range(k):
-        boxes.append(([scaled[t, :1]], n))
-        for u in range(t + 1, k):
-            tails = _frobenius_tails(field, symbols[u + 1:]) if g[t][u] == 1 \
-                else [(symbols[u + 1:], 1)]
-            boxes += [([scaled[t, :1], scaled[u, :g[t][u]]] + tail, n * n * size // g[t][u])
-                      for tail, size in tails]
-    return _planned_counts(field, k, boxes, jobs)
+    for i, t in enumerate(order):
+        yield [(t, [1])], n
+        for j in range(i + 1, k):
+            u = order[j]
+            g = gcd(exponents[u] - exponents[t], n)
+            tails = _frobenius_tails(field, order[j + 1:]) if g == 1 \
+                else [([(v, None) for v in order[j + 1:]], 1)]
+            for tail, size in tails:
+                yield [(t, [1]), (u, field.exp_table[:g])] + tail, n * n * size // g
 
 
 # -- public enumeration API ---------------------------------------------
@@ -317,8 +307,7 @@ def weight_enumerator(code: LinearCode, method: str = "auto", jobs: int = 1) -> 
     if key in _ENUMERATORS:
         return _ENUMERATORS[key]
     start = time.perf_counter()
-    raw = (_reduced_counts if method == "reduced" else _exhaustive_counts)(
-        code.field, exponents, jobs)
+    raw = _route_counts(code.field, method, exponents, jobs)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     counts = {w: int(c) for w, c in enumerate(raw) if c}
     enum = WeightEnumerator(code.q, code.m, code.n, code.k, counts, method, elapsed_ms)

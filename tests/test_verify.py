@@ -145,18 +145,19 @@ def test_cross_check_catches_a_tampered_reduced_route(monkeypatch):
     # nonzero weight: the total and the first Pless moment, which
     # weight_enumerator checks on its own, stay, and at m = 2 the second
     # moment is not checked, so only the cross-check can see it.
-    real = weights._reduced_counts
+    real = weights._route_counts
 
-    def tampered(field, exponents, jobs):
-        counts = real(field, exponents, jobs)
-        low, top = np.flatnonzero(counts)[[1, -1]]
-        counts[top] -= 1
-        counts[top - 1] += 1
-        counts[low] -= 1
-        counts[low + 1] += 1
+    def tampered(field, route, exponents, jobs):
+        counts = real(field, route, exponents, jobs)
+        if route == "reduced":
+            low, top = np.flatnonzero(counts)[[1, -1]]
+            counts[top] -= 1
+            counts[top - 1] += 1
+            counts[low] -= 1
+            counts[low + 1] += 1
         return counts
 
-    monkeypatch.setattr(weights, "_reduced_counts", tampered)
+    monkeypatch.setattr(weights, "_route_counts", tampered)
     for enumerate_checked in (verify.checked_enumerator, weights.weight_enumerator):
         monkeypatch.setattr(weights, "_ENUMERATORS", {})
         with pytest.raises(RuntimeError, match="enumerator mismatch at q=8, m=2"):

@@ -354,9 +354,9 @@ def test_routes_agree_on_random_exponent_sets(monkeypatch):
     assert len(cases) == 150
     counts = []
     for f, exponents in cases:
-        exhaustive = weights._exhaustive_counts(f, exponents, 1)
+        exhaustive = weights._route_counts(f, "exhaustive", exponents, 1)
         assert int(exhaustive.sum()) == f.order**len(exponents), (f.q, exponents)
-        assert np.array_equal(weights._reduced_counts(f, exponents, 1), exhaustive), \
+        assert np.array_equal(weights._route_counts(f, "reduced", exponents, 1), exhaustive), \
             (f.q, exponents)
         counts.append(exhaustive)
     # One-word tiles: every left column is its own tile.
@@ -365,9 +365,10 @@ def test_routes_agree_on_random_exponent_sets(monkeypatch):
     assert len(small) >= 10
     for i in small:
         f, exponents = cases[i]
-        for route in (weights._exhaustive_counts, weights._reduced_counts):
+        for route in ("exhaustive", "reduced"):
             for jobs in (1, 2, 8):
-                assert np.array_equal(route(f, exponents, jobs), counts[i]), (f.q, exponents)
+                assert np.array_equal(weights._route_counts(f, route, exponents, jobs), counts[i]), \
+                    (f.q, exponents)
 
 
 _FULL_SCAN_SIZES = [(q, m) for q in (3, 4, 5, 7, 8, 9) for m in range(2, q)
@@ -378,7 +379,7 @@ _FULL_SCAN_SIZES = [(q, m) for q in (3, 4, 5, 7, 8, 9) for m in range(2, q)
 def test_exhaustive_equals_full_scan(q, m):
     f = field_for_q(q)
     exponents = agcode.build_code(f, m).exponents.tolist()
-    assert np.array_equal(weights._exhaustive_counts(f, exponents, 1),
+    assert np.array_equal(weights._route_counts(f, "exhaustive", exponents, 1),
                           full_scan_counts(f, exponents))
 
 
@@ -390,49 +391,41 @@ def test_exhaustive_equals_full_scan_on_random_exponent_sets(monkeypatch):
     monkeypatch.setattr(weights, "_TILE_WORDS", 1)
     for (f, exponents), counts in zip(cases, expected):
         for jobs in (1, 2, 8):
-            assert np.array_equal(weights._exhaustive_counts(f, exponents, jobs), counts), \
+            assert np.array_equal(weights._route_counts(f, "exhaustive", exponents, jobs), counts), \
                 (f.q, exponents, jobs)
 
 
-def test_exhaustive_scans_one_word_per_line(monkeypatch):
-    # Box t: the 1 x n row of coordinate t, then Q rows per later coordinate.
+def test_exhaustive_scans_one_word_per_line():
+    # Box t: the 1 at coordinate t, then all Q symbols at each later one.
     f = field_for_q(5)
     code = agcode.build_code(f, 3)
     big_q, k = f.order, code.k
-    plans, box_counts = [], weights._box_counts
-    monkeypatch.setattr(weights, "_box_counts",
-                        lambda field, boxes, jobs: plans.append(boxes) or box_counts(field, boxes, jobs))
-    weights._exhaustive_counts(f, code.exponents.tolist(), 1)
-    (boxes,) = plans
-    assert [weight for _, weight in boxes] == [big_q - 1] * k
-    assert [[len(table) for table in factors] for factors, _ in boxes] == \
-        [[1] + [big_q] * (k - 1 - t) for t in range(k)]
-    for t, (factors, _) in enumerate(boxes):
-        assert factors[0].dtype == np.uint8
-        assert np.array_equal(factors[0][0], agcode.monomial_rows(f, code.exponents)[t])
-    assert sum(prod(len(table) for table in factors) for factors, _ in boxes) == \
-        (big_q**k - 1) // (big_q - 1)
+    boxes = list(weights._exhaustive_plan(f, code.exponents.tolist()))
+    assert boxes == [([(t, [1])] + [(c, None) for c in range(t + 1, k)], big_q - 1)
+                     for t in range(k)]
+    assert _plan_words(f, boxes) == (big_q**k - 1) // (big_q - 1)
+
+
+def _misplanned(monkeypatch, route, boxes):
+    """The route's plan generator replaced by one yielding ``boxes``."""
+    monkeypatch.setattr(weights, f"_{route}_plan", lambda field, exponents: iter(boxes))
 
 
 @pytest.mark.parametrize("delta", [1, -1])
 def test_a_misweighted_plan_is_refused_before_the_kernel(monkeypatch, delta):
-    # Each box of each route in turn gets its weight off by delta; the
-    # plan no longer makes up Q^k and no tile may run.
+    # Each box of each route's plan in turn gets its weight off by delta;
+    # the plan no longer makes up Q^k and no tile may run.
     f = field_for_q(4)
     exponents = agcode.build_code(f, 3).exponents.tolist()
-    planned, kernel_calls = weights._planned_counts, []
+    kernel_calls = []
     monkeypatch.setattr(weights, "_box_counts", lambda *args: kernel_calls.append(args))
-    for route, boxes in ((weights._exhaustive_counts, 4), (weights._reduced_counts, 17)):
-        for i in range(boxes):
-            def misweighted(field, k, plan, jobs, i=i):
-                assert len(plan) == boxes
-                factors, weight = plan[i]
-                plan = plan[:i] + [(factors, weight + delta)] + plan[i + 1:]
-                return planned(field, k, plan, jobs)
-
-            monkeypatch.setattr(weights, "_planned_counts", misweighted)
+    for route, boxes in (("exhaustive", 4), ("reduced", 17)):
+        plan = list(getattr(weights, f"_{route}_plan")(f, exponents))
+        assert len(plan) == boxes
+        for i, (factors, weight) in enumerate(plan):
+            _misplanned(monkeypatch, route, plan[:i] + [(factors, weight + delta)] + plan[i + 1:])
             with pytest.raises(RuntimeError, match="plan covers"):
-                route(f, exponents, 1)
+                weights._route_counts(f, route, exponents, 1)
     assert kernel_calls == []
 
 
@@ -467,15 +460,16 @@ def test_dual_distribution_is_a_weight_distribution(q, m):
 
 def _mutated(monkeypatch, mutate):
     """weight_enumerator with its exhaustive counts passed through ``mutate``."""
-    exhaustive = weights._exhaustive_counts
+    route_counts = weights._route_counts
 
-    def route(field, exponents, jobs):
-        counts = exhaustive(field, exponents, jobs).copy()
-        mutate(counts)
+    def mutated(field, route, exponents, jobs):
+        counts = route_counts(field, route, exponents, jobs).copy()
+        if route == "exhaustive":
+            mutate(counts)
         return counts
 
     monkeypatch.setattr(weights, "_ENUMERATORS", {})
-    monkeypatch.setattr(weights, "_exhaustive_counts", route)
+    monkeypatch.setattr(weights, "_route_counts", mutated)
 
 
 def test_a_word_moved_between_weights_breaks_the_first_moment(monkeypatch):
@@ -521,9 +515,11 @@ def test_repeated_residue_is_refused(monkeypatch, q, m):
     rng = np.random.default_rng([q, m])
     exponents = [int(e) for e in rng.choice(big_n, 3, replace=False)]
     exponents.append(exponents[0] + big_n)
-    for route in (weights._exhaustive_counts, weights._reduced_counts, full_scan_counts):
+    for route in ("exhaustive", "reduced"):
         with pytest.raises(RuntimeError, match="repeats a residue"):
-            route(f, exponents, 1)
+            weights._route_counts(f, route, exponents, 1)
+    with pytest.raises(RuntimeError, match="repeats a residue"):
+        full_scan_counts(f, exponents)
     real_powers = rrspace.powers
 
     def lifted(field, m):
@@ -544,14 +540,15 @@ def test_reduced_equals_translation_oracle(q, m):
     exponents = agcode.build_code(f, m).exponents.tolist()
     oracle = translation_counts(f, exponents)
     for jobs in (1, 2):
-        assert np.array_equal(weights._reduced_counts(f, exponents, jobs), oracle), jobs
+        assert np.array_equal(weights._route_counts(f, "reduced", exponents, jobs), oracle), jobs
 
 
 def test_reduced_equals_translation_on_random_exponent_sets(monkeypatch):
     cases = _random_exponent_sets()
     expected = [translation_counts(f, e) for f, e in cases]
     for (f, exponents), counts in zip(cases, expected):
-        assert np.array_equal(weights._reduced_counts(f, exponents, 1), counts), (f.q, exponents)
+        assert np.array_equal(weights._route_counts(f, "reduced", exponents, 1), counts), \
+            (f.q, exponents)
     # One-word tiles: every left column of every box is its own tile.
     monkeypatch.setattr(weights, "_TILE_WORDS", 1)
     small = [(case, counts) for case, counts in zip(cases, expected)
@@ -559,33 +556,53 @@ def test_reduced_equals_translation_on_random_exponent_sets(monkeypatch):
     assert len(small) == 117
     for (f, exponents), counts in small:
         for jobs in (1, 2, 8):
-            assert np.array_equal(weights._reduced_counts(f, exponents, jobs), counts), \
+            assert np.array_equal(weights._route_counts(f, "reduced", exponents, jobs), counts), \
                 (f.q, exponents, jobs)
 
 
-def _recorded_plans(monkeypatch):
-    """The box lists handed to the kernel from now on, which counts
-    nothing, with the words guard lifted."""
-    plans = []
-
-    def record(field, boxes, jobs):
-        plans.append(boxes)
-        return np.zeros(field.order, dtype=np.int64)
-
-    monkeypatch.setattr(weights, "_box_counts", record)
-    monkeypatch.setattr(weights, "_WORDS_GUARD", 1 << 62)
-    return plans
+def _symbols(f, s):
+    """The symbols of a plan factor's set: all of F_Q for None."""
+    return range(f.order) if s is None else [int(x) for x in s]
 
 
-def _words(boxes):
+def _box_words(f, factors):
+    return prod(len(_symbols(f, s)) for _, s in factors)
+
+
+def _plan_words(f, plan):
+    """Words of the (factors, weight) boxes of a plan."""
+    return sum(_box_words(f, factors) for factors, _ in plan)
+
+
+def _route_order(plan):
+    """The reduced route's coordinate order, read off its one-factor boxes."""
+    return [factors[0][0] for factors, _ in plan if len(factors) == 1]
+
+
+def _translation_words(monkeypatch, f, exponents):
+    """Words of the translation oracle's table boxes, its kernel counting nothing."""
+    boxes = []
+    with monkeypatch.context() as patch:
+        patch.setattr(weights, "_box_counts", lambda field, plan, jobs:
+                      boxes.extend(plan) or np.zeros(field.order, dtype=np.int64))
+        translation_counts(f, exponents)
     return sum(prod(len(table) for table in factors) for factors, _ in boxes)
 
 
-def _route_order(f, exponents, boxes):
-    """The reduced route's coordinate order, read off its single-row boxes."""
-    rows = agcode.monomial_rows(f, exponents)
-    return [next(t for t in range(len(rows)) if np.array_equal(factors[0][0], rows[t]))
-            for factors, _ in boxes if len(factors) == 1]
+class _TablesReached(Exception):
+    """Raised by monomial_rows in place of the rows: a plan passed both checks."""
+
+
+def _stop_at_the_tables(monkeypatch):
+    """The monomial_rows calls from now on, each raising _TablesReached."""
+    built = []
+
+    def stop(*args):
+        built.append(args)
+        raise _TablesReached
+
+    monkeypatch.setattr(agcode, "monomial_rows", stop)
+    return built
 
 
 def _line_words(f, exponents):
@@ -610,62 +627,50 @@ def _phi_orbit(f, word):
 
 
 @pytest.mark.parametrize("q,m", [(4, 3), (5, 4)])
-def test_reduced_plan_splits_each_line_at_its_second_nonzero(monkeypatch, q, m):
-    # Box (t): row t alone, weight Q - 1.  Line (t, u): the 1 at t and
-    # omega^0 .. omega^(g-1) times row u, g = gcd(e_u - e_t, Q - 1).  At
-    # g > 1 one box with all Q symbols after u, weight (Q - 1)^2 / g.  At
-    # g = 1 each box holds some symbols of each coordinate after u, weight
-    # (Q - 1)^2 times an orbit size; where the tail has at most 2^14 words,
-    # the line's words meet every orbit of x -> x^p once, each weighted by
-    # its size, and elsewhere they make up Q^j.  t and u run in the route's
-    # coordinate order, read off the single-row boxes.
+def test_reduced_plan_splits_each_line_at_its_second_nonzero(q, m):
+    # Box (t): the 1 at t alone, weight Q - 1.  Line (t, u): the 1 at t and
+    # omega^0 .. omega^(g-1) at u, g = gcd(e_u - e_t, Q - 1).  At g > 1 one
+    # box with all Q symbols after u, weight (Q - 1)^2 / g.  At g = 1 each
+    # box holds some symbols of each coordinate after u, weight (Q - 1)^2
+    # times an orbit size; where the tail has at most 2^14 words, the
+    # line's words meet every orbit of x -> x^p once, each weighted by its
+    # size, and elsewhere they make up Q^j.  t and u run in the route's
+    # coordinate order, read off the one-factor boxes.
     f = field_for_q(q)
     big_q, n = f.order, f.order - 1
     exponents = agcode.build_code(f, m).exponents.tolist()
     k = len(exponents)
-    rows = agcode.monomial_rows(f, exponents).astype(np.uint8)
-    mul = f.mul_table.astype(np.uint8)
-    plans = _recorded_plans(monkeypatch)
-    weights._reduced_counts(f, exponents, 1)
-    (boxes,) = plans
-    order = _route_order(f, exponents, boxes)
+    boxes = list(weights._reduced_plan(f, exponents))
+    order = _route_order(boxes)
     assert sorted(order) == list(range(k))
-    assert all(table.dtype == np.uint8 for factors, _ in boxes for table in factors)
     lines: dict = {}
     for factors, weight in boxes:
-        lines.setdefault(tuple(table.tobytes() for table in factors[:2]), []).append(
-            (factors[2:], weight))
+        lead = tuple((c, tuple(_symbols(f, s))) for c, s in factors[:2])
+        lines.setdefault(lead, []).append((factors[2:], weight))
     assert len(lines) == k * (k + 1) // 2
     for i, t in enumerate(order):
-        assert lines[(rows[t][None, :].tobytes(),)] == [([], n)]
+        assert lines[((t, (1,)),)] == [([], n)]
         for j in range(i + 1, k):
             u, tail = order[j], order[j + 1:]
             g = gcd(exponents[u] - exponents[t], n)
-            lead = (rows[t][None, :].tobytes(), mul[f.exp_table[:g, None], rows[u]].tobytes())
-            line = lines[lead]
+            line = lines[((t, (1,)), (u, tuple(f.exp_table[:g].tolist())))]
             if g > 1:
-                ((tables, weight),) = line
-                assert weight == n * n // g and len(tables) == len(tail)
-                assert all(np.array_equal(table, mul[:, rows[v]]) for table, v in zip(tables, tail))
+                assert line == [([(v, None) for v in tail], n * n // g)]
                 continue
-            # Each table row is the row of v times one symbol.
-            symbol_of = [{mul[s, rows[v]].tobytes(): s for s in range(big_q)} for v in tail]
-            assert sum(weight * prod(map(len, tables)) for tables, weight in line) == \
+            assert all([c for c, _ in factors] == tail for factors, _ in line)
+            assert sum(weight * _box_words(f, factors) for factors, weight in line) == \
                 n * n * big_q**len(tail)
             if big_q**len(tail) > 1 << 14:
                 continue
             seen = set()
-            for tables, weight in line:
-                assert len(tables) == len(tail)
-                symbols = [[lookup[row.tobytes()] for row in table]
-                           for table, lookup in zip(tables, symbol_of)]
-                for word in itertools.product(*symbols):
+            for factors, weight in line:
+                for word in itertools.product(*(_symbols(f, s) for _, s in factors)):
                     orbit = _phi_orbit(f, word)
                     assert weight == n * n * len(orbit) and min(orbit) not in seen
                     seen.add(min(orbit))
     # The order matters: in code order the large boxes hold more rows at u.
     words = _line_words(f, [exponents[t] for t in order])
-    assert _words(boxes) == words <= _line_words(f, exponents)
+    assert _plan_words(f, boxes) == words <= _line_words(f, exponents)
     if (q, m) == (5, 4):
         assert (len(boxes), words, _line_words(f, exponents)) == (45, 5_978_713, 25_075_741)
 
@@ -677,36 +682,34 @@ def test_reduced_scans_few_more_words_than_translation(monkeypatch, q, m):
     # support, and exactly the closed form in the route's coordinate order.
     f = field_for_q(q)
     exponents = agcode.build_code(f, m).exponents.tolist()
-    plans = _recorded_plans(monkeypatch)
-    weights._reduced_counts(f, exponents, 1)
-    translation_counts(f, exponents)
-    reduced, translation = map(_words, plans)
-    assert reduced <= translation
-    assert reduced == _line_words(f, [exponents[t] for t in _route_order(f, exponents, plans[0])])
+    plan = list(weights._reduced_plan(f, exponents))
+    reduced = _plan_words(f, plan)
+    assert reduced <= _translation_words(monkeypatch, f, exponents)
+    assert reduced == _line_words(f, [exponents[t] for t in _route_order(plan)])
 
 
 @pytest.mark.parametrize("q,m", [(4, 3), (5, 4), (7, 4), (8, 4), (9, 4), (9, 3)])
 def test_reduced_guard_reads_the_plan_words(monkeypatch, q, m):
-    # One guard for both routes: each is admitted at exactly the words its
-    # plan scans and refused one word below, by a message naming its route.
-    # The exhaustive plan scans (Q^k - 1) / (Q - 1) words, one per line.
+    # One guard for both routes: each reaches its tables at exactly the
+    # words its plan scans and is refused one word below, by a message
+    # naming its route and those words.  The exhaustive plan scans
+    # (Q^k - 1) / (Q - 1) words, one per line.
     f = field_for_q(q)
     exponents = agcode.build_code(f, m).exponents.tolist()
-    plans = _recorded_plans(monkeypatch)
+    built = _stop_at_the_tables(monkeypatch)
     for route in ("reduced", "exhaustive"):
-        counts = getattr(weights, f"_{route}_counts")
-        plans.clear()
-        monkeypatch.setattr(weights, "_WORDS_GUARD", 1 << 62)
-        counts(f, exponents, 1)
-        words = _words(plans[0])
+        words = _plan_words(f, getattr(weights, f"_{route}_plan")(f, exponents))
         if route == "exhaustive":
             assert words == (f.order**len(exponents) - 1) // (f.order - 1)
+        built.clear()
         monkeypatch.setattr(weights, "_WORDS_GUARD", words)
-        counts(f, exponents, 1)
+        with pytest.raises(_TablesReached):
+            weights._route_counts(f, route, exponents, 1)
         monkeypatch.setattr(weights, "_WORDS_GUARD", words - 1)
-        with pytest.raises(SizeGuardError, match=f"representatives, more than the {route} guard"):
-            counts(f, exponents, 1)
-        assert len(plans) == 2, route
+        with pytest.raises(SizeGuardError, match=f"needs {words} or more representatives, "
+                                                 f"more than the {route} guard of {words - 1} words"):
+            weights._route_counts(f, route, exponents, 1)
+        assert len(built) == 1, route
 
 
 def test_reduced_guard_refuses_before_any_table(monkeypatch):
@@ -716,18 +719,15 @@ def test_reduced_guard_refuses_before_any_table(monkeypatch):
     # exhaustive lines refuse every k >= 7 code but (5, 4), at 2.5e8 words.
     codes = {(q, m): agcode.build_code(field_for_q(q), m).exponents.tolist()
              for q in SUPPORTED_Q for m in range(2, q)}
-    built, real = [], agcode.monomial_rows
-    monkeypatch.setattr(agcode, "monomial_rows", lambda *args: built.append(args) or real(*args))
-    monkeypatch.setattr(weights, "_box_counts",
-                        lambda field, boxes, jobs: np.zeros(field.order, dtype=np.int64))
+    built = _stop_at_the_tables(monkeypatch)
     refused = {"reduced": set(), "exhaustive": set()}
     for route, found in refused.items():
         for (q, m), exponents in codes.items():
             built.clear()
-            try:
-                getattr(weights, f"_{route}_counts")(field_for_q(q), exponents, 1)
-            except SizeGuardError as exc:
-                assert "representatives" in str(exc) and f"{route} guard" in str(exc)
+            with pytest.raises((SizeGuardError, _TablesReached)) as exc:
+                weights._route_counts(field_for_q(q), route, exponents, 1)
+            if exc.type is SizeGuardError:
+                assert "representatives" in str(exc.value) and f"{route} guard" in str(exc.value)
                 assert built == [], (route, q, m)
                 found.add((q, m))
             else:
@@ -736,27 +736,57 @@ def test_reduced_guard_refuses_before_any_table(monkeypatch):
     assert refused == {"reduced": large - {(7, 4), (8, 4)}, "exhaustive": large}
 
 
+@pytest.mark.parametrize("route,q,m", [("exhaustive", 9, 8), ("reduced", 9, 4), ("reduced", 9, 8)])
+def test_a_refusal_stops_at_the_crossing(monkeypatch, route, q, m):
+    # The walk stops at the box whose words pass the guard: the exhaustive
+    # (9, 8) plan at its first box, the reduced ones well before their last.
+    # The message names the words walked, a lower bound on the plan's.
+    f = field_for_q(q)
+    exponents = agcode.build_code(f, m).exponents.tolist()
+    plan = getattr(weights, f"_{route}_plan")
+    boxes = list(plan(f, exponents))
+    walked = []
+
+    def counted(field, exponents):
+        for box in plan(field, exponents):
+            walked.append(box)
+            yield box
+
+    monkeypatch.setattr(weights, f"_{route}_plan", counted)
+    with pytest.raises(SizeGuardError) as exc:
+        weights._route_counts(f, route, exponents, 1)
+    needed = _plan_words(f, walked)
+    assert f"needs {needed} or more representatives" in str(exc.value)
+    if route == "exhaustive":
+        assert len(walked) == 1
+        assert weights._WORDS_GUARD < needed <= (f.order**len(exponents) - 1) // (f.order - 1)
+    else:
+        assert len(walked) <= len(boxes) // 4
+        assert weights._WORDS_GUARD < needed <= \
+            _line_words(f, [exponents[t] for t in _route_order(boxes)])
+
+
 @pytest.mark.parametrize("q", sorted(SUPPORTED_Q))
 def test_frobenius_tails_cover_every_word(q):
-    # The boxes of j symbols, each word times its orbit size, make Q^j, with
-    # one word per orbit of x -> x^p (Burnside); for j <= 2 each word's
+    # The boxes of j coordinates, each word times its orbit size, make Q^j,
+    # with one word per orbit of x -> x^p (Burnside); for j <= 2 each word's
     # orbit is computed, and the words meet every orbit once.
     f = field_for_q(q)
     big_q, r = f.order, 2 * f.k
-    symbols = np.arange(big_q, dtype=np.uint8)[:, None]
     for j in range(6):
-        tails = weights._frobenius_tails(f, [symbols] * j)
-        assert sum(size * prod(map(len, tables)) for tables, size in tails) == big_q**j, j
-        assert _words(tails) == sum(f.p**(j * gcd(i, r)) for i in range(r)) // r, j
+        tails = list(weights._frobenius_tails(f, list(range(j))))
+        assert all([c for c, _ in factors] == list(range(j)) for factors, _ in tails), j
+        assert sum(size * _box_words(f, factors) for factors, size in tails) == big_q**j, j
+        assert _plan_words(f, tails) == sum(f.p**(j * gcd(i, r)) for i in range(r)) // r, j
         if j > 2:
             continue
         orbits = set()
-        for tables, size in tails:
-            for word in itertools.product(*(table[:, 0].tolist() for table in tables)):
+        for factors, size in tails:
+            for word in itertools.product(*(_symbols(f, s) for _, s in factors)):
                 orbit = _phi_orbit(f, word)
                 assert size == len(orbit) and min(orbit) not in orbits, (j, word)
                 orbits.add(min(orbit))
-        assert len(orbits) == _words(tails)
+        assert len(orbits) == _plan_words(f, tails)
 
 
 @pytest.mark.parametrize("delta", [1, -1])
@@ -768,21 +798,17 @@ def test_a_misweighted_orbit_is_refused_before_the_kernel(monkeypatch, q, m, del
     f = field_for_q(q)
     n = f.order - 1
     exponents = agcode.build_code(f, m).exponents.tolist()
-    plans = _recorded_plans(monkeypatch)
-    weights._reduced_counts(f, exponents, 1)
-    cut = [i for i, (_, weight) in enumerate(plans[0]) if weight % (n * n) == 0]
+    plan = list(weights._reduced_plan(f, exponents))
+    cut = [i for i, (_, weight) in enumerate(plan) if weight % (n * n) == 0]
     assert len(cut) > len(exponents)
-    planned = weights._planned_counts
+    kernel_calls = []
+    monkeypatch.setattr(weights, "_box_counts", lambda *args: kernel_calls.append(args))
     for i in cut:
-        def misweighted(field, k, plan, jobs, i=i):
-            factors, weight = plan[i]
-            plan = plan[:i] + [(factors, weight + delta * n * n)] + plan[i + 1:]
-            return planned(field, k, plan, jobs)
-
-        monkeypatch.setattr(weights, "_planned_counts", misweighted)
+        factors, weight = plan[i]
+        _misplanned(monkeypatch, "reduced", plan[:i] + [(factors, weight + delta * n * n)] + plan[i + 1:])
         with pytest.raises(RuntimeError, match="plan covers"):
-            weights._reduced_counts(f, exponents, 1)
-    assert len(plans) == 1
+            weights._route_counts(f, "reduced", exponents, 1)
+    assert kernel_calls == []
 
 
 class CountingPool(ThreadPoolExecutor):
@@ -887,7 +913,7 @@ def test_auto_is_the_cross_checked_enumerator(monkeypatch):
     def refused(*args):
         raise AssertionError("the exhaustive route ran above CROSS_CHECK_LIMIT")
 
-    monkeypatch.setattr(weights, "_exhaustive_counts", refused)
+    monkeypatch.setattr(weights, "_exhaustive_plan", refused)
     auto = weight_enumerator(_code(8, 3))
     assert auto.method == "reduced"
     assert auto is weight_enumerator(_code(8, 3), "reduced")

@@ -110,16 +110,11 @@ def build_code(field: Field, m: int, spec: OrbitSpec | None = None) -> LinearCod
 
 
 def check_message(code: LinearCode, msg) -> None:
-    """Refuse a message of the wrong length, with a symbol that is not an
-    integer (one ``operator.index`` rejects) or outside [0, Q)."""
+    """Refuse a message of the wrong length, or with a symbol that
+    ``Field.check_symbols`` refuses."""
     if len(msg) != code.k:
         raise ValueError(f"message length {len(msg)} != k={code.k}")
-    bad = [s for s in msg if not hasattr(type(s), "__index__")]
-    if bad:
-        raise ValueError(f"message symbols {bad} are not integers")
-    bad = [s for s in msg if not 0 <= s < code.field.order]
-    if bad:
-        raise ValueError(f"message symbols {bad} outside [0, {code.field.order})")
+    code.field.check_symbols(msg, "message symbols")
 
 
 def encode(code: LinearCode, msg) -> Codeword:

@@ -22,6 +22,7 @@ Addition is digit-wise mod p: per pair in ``add_table``, in bulk in ``combine``.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -71,7 +72,8 @@ class Field:
     by walking the powers of every element through the table together.
 
     Operations take and return plain integer encodings in [0, Q) and do
-    not check that range; callers that take symbols from outside do.
+    not check that range; callers that take symbols from outside do, with
+    ``check_symbols``.
     """
 
     def __init__(self, p: int, k: int):
@@ -173,6 +175,21 @@ class Field:
 
     def trace(self, a: int) -> int:
         return self.add(self.frobenius(a), a)
+
+    def check_symbols(self, symbols, what: str) -> None:
+        """Refuse ``symbols`` unless each is an integer (a value that
+        ``operator.index`` accepts) in [0, Q); ``what`` names them."""
+        bad = []
+        for s in symbols:
+            try:
+                operator.index(s)
+            except TypeError:
+                bad.append(s)
+        if bad:
+            raise ValueError(f"{what} {bad} are not integers")
+        bad = [s for s in symbols if not 0 <= s < self.order]
+        if bad:
+            raise ValueError(f"{what} {bad} outside [0, {self.order})")
 
     # -- element access ----------------------------------------------
     def elements(self) -> range:

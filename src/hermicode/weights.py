@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from math import gcd, prod
 
 import numpy as np
@@ -72,7 +73,6 @@ _WORDS_GUARD = 1 << 28
 _TILE_WORDS = 1 << 18
 _HISTOGRAM_PAIRS = 1 << 15
 _ENUMERATORS: dict[tuple[Field, tuple[int, ...], str], WeightEnumerator] = {}
-_FROBENIUS_CLASSES: dict[tuple[Field, int], dict[int, np.ndarray]] = {}
 
 
 class SizeGuardError(ValueError):
@@ -224,19 +224,17 @@ def _exhaustive_plan(field: Field, exponents):
 # -- reduced route ------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _frobenius_classes(field: Field, f: int) -> dict[int, np.ndarray]:
     """The smallest symbol of each orbit of <phi^f> on F_Q, phi: x -> x^p,
     keyed by f2 with <phi^f2> the symbol's stabilizer: its orbit has f2 / f
     symbols.  Built once per (field, f)."""
-    key = (field, f)
-    if key not in _FROBENIUS_CLASSES:
-        classes: dict[int, list[int]] = {}
-        for s in field.elements():
-            orbit = {field.pow(s, field.p**(f * i)) for i in range(2 * field.k // f)}
-            if s == min(orbit):
-                classes.setdefault(f * len(orbit), []).append(s)
-        _FROBENIUS_CLASSES[key] = {f2: np.array(reps) for f2, reps in classes.items()}
-    return _FROBENIUS_CLASSES[key]
+    classes: dict[int, list[int]] = {}
+    for s in field.elements():
+        orbit = {field.pow(s, field.p**(f * i)) for i in range(2 * field.k // f)}
+        if s == min(orbit):
+            classes.setdefault(f * len(orbit), []).append(s)
+    return {f2: np.array(reps) for f2, reps in classes.items()}
 
 
 def _frobenius_tails(field: Field, coords: list[int], f: int = 1):
@@ -425,34 +423,23 @@ def _poly_values(field: Field, exps, coefs) -> np.ndarray:
 
 
 def roots_of_lacunary(field: Field, kind: str, *, a: int | None = None,
-                      b: int | None = None, b0: int | None = None,
-                      b1: int | None = None, b2: int | None = None,
+                      b: int | None = None, b1: int | None = None,
                       tau: int | None = None) -> tuple[int, tuple[int, ...]]:
     """Exact root count (and roots) in F_{q^2} of one of the sparse forms.
 
     * ``general``: x^(q+1) + a*x + b         (count is always 0, 1, 2 or q+1)
-    * ``scaled``:  tau*b2*x^(q+1) + b1*x + b0 with b2 != 0
     * ``shifted``: b1*tau*x^(q-1) + 1 with b1 != 0 (q-1 roots exactly
       when b1*tau has norm 1, else none)
 
-    A coefficient outside [0, Q) raises ValueError.
+    Every coefficient given must be an integer in [0, Q)
+    (``Field.check_symbols``), else ValueError.
     """
-    given = {"a": a, "b": b, "b0": b0, "b1": b1, "b2": b2, "tau": tau}
-    bad = {name: c for name, c in given.items() if c is not None and not 0 <= c < field.order}
-    if bad:
-        raise ValueError(f"coefficients {bad} outside [0, {field.order})")
+    field.check_symbols([c for c in (a, b, b1, tau) if c is not None], "coefficients")
     q = field.q
     if kind == "general":
         if a is None or b is None:
             raise ValueError("general form needs coefficients a and b")
         exps, coefs = (q + 1, 1, 0), (1, a, b)
-    elif kind == "scaled":
-        if b0 is None or b1 is None or b2 is None or tau is None:
-            raise ValueError("scaled form needs b0, b1, b2 and tau")
-        lead = field.mul(tau, b2)
-        if lead == 0:
-            raise ValueError("scaled form is degenerate: tau*b2 = 0")
-        exps, coefs = (q + 1, 1, 0), (lead, b1, b0)
     elif kind == "shifted":
         if b1 is None or tau is None:
             raise ValueError("shifted form needs b1 and tau")

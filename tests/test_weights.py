@@ -1066,7 +1066,6 @@ def test_root_count_accepts_numpy_integer_symbols(dtype):
 
 LACUNARY_KINDS = {
     "general": {"a": 1, "b": 1},
-    "scaled": {"b0": 1, "b1": 1, "b2": 1, "tau": 1},
     "shifted": {"b1": 1, "tau": 1},
 }
 
@@ -1079,6 +1078,18 @@ def test_lacunary_rejects_coefficients_outside_the_field(kind, value):
     for name in LACUNARY_KINDS[kind]:
         coeffs = {**LACUNARY_KINDS[kind], name: value}
         with pytest.raises(ValueError, match="outside"):
+            roots_of_lacunary(f, kind, **coeffs)
+
+
+@pytest.mark.parametrize("kind", sorted(LACUNARY_KINDS))
+@pytest.mark.parametrize("value", [1.5, np.float64(0.5), "1"])
+def test_lacunary_rejects_non_integer_coefficients(kind, value):
+    # Only the range was checked: a = 1.5 gave the roots for a = 1, b = 0.5
+    # acted as b = 0, and "1" raised a bare TypeError.
+    f = field_for_q(3)
+    for name in LACUNARY_KINDS[kind]:
+        coeffs = {**LACUNARY_KINDS[kind], name: value}
+        with pytest.raises(ValueError, match="are not integers"):
             roots_of_lacunary(f, kind, **coeffs)
 
 
@@ -1100,15 +1111,17 @@ def test_lacunary_general_trichotomy(q):
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_lacunary_scaled_full_root_criterion(q):
-    # tau b2 x^(q+1) + b1 x + b0 has q + 1 roots exactly when b1 = 0 and
-    # b0/(tau b2) is a nonzero subfield element.
+    # tau b2 x^(q+1) + b1 x + b0 has the roots of the general form with
+    # a = b1/(tau b2) and b = b0/(tau b2): q + 1 of them exactly when b1 = 0
+    # and b0/(tau b2) is a nonzero subfield element.
     f = field_for_q(q)
     tau = canonical_orbit_spec(f).tau
     for b2 in f.nonzero():
+        lead_inv = f.inv(f.mul(tau, b2))
         for b1 in f.elements():
             for b0 in f.elements():
-                count, _ = roots_of_lacunary(f, "scaled", b0=b0, b1=b1, b2=b2, tau=tau)
-                ratio = f.mul(b0, f.inv(f.mul(tau, b2)))
+                ratio = f.mul(b0, lead_inv)
+                count, _ = roots_of_lacunary(f, "general", a=f.mul(b1, lead_inv), b=ratio)
                 full = b1 == 0 and ratio != 0 and f.subfield_mask[ratio]
                 assert (count == q + 1) == full
 
@@ -1132,8 +1145,6 @@ def test_lacunary_shifted_all_coefficients(q):
 def test_lacunary_degenerate_forms_rejected():
     f = field_for_q(3)
     tau = canonical_orbit_spec(f).tau
-    with pytest.raises(ValueError):
-        roots_of_lacunary(f, "scaled", b0=1, b1=0, b2=0, tau=tau)
     with pytest.raises(ValueError):
         roots_of_lacunary(f, "shifted", b1=0, tau=tau)
     with pytest.raises(ValueError):

@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--q": dict(type=int, choices=sorted(SUPPORTED_Q)),
         "--m": dict(type=int),
         "--suite": dict(choices=("all",)),
-        "--method": dict(choices=("auto", "exhaustive", "reduced"), default="auto"),
+        "--method": dict(choices=weights.METHODS, default="auto"),
         "--jobs": dict(type=_positive_int, default=1, help="worker threads (default 1)"),
         "--out": dict(help="output path (default stdout)"),
         "--format": dict(choices=("json", "csv"), default="json"),

@@ -1,9 +1,9 @@
 """Exact weight enumerators, minimum distances, distance witnesses, and
 root counts of the sparse polynomials that control the low weights.
 
-Two independent enumeration routes exist and must agree wherever both
-run; ``auto`` runs both up to CROSS_CHECK_LIMIT messages.  A route is
-its plan, a generator of product boxes of symbol sets, walked once
+METHODS: two independent routes, which must agree wherever both run,
+and ``auto``, which runs both up to CROSS_CHECK_LIMIT messages.  A route
+is its plan, a generator of product boxes of symbol sets, walked once
 before any table is built: refused as soon as its words pass
 _WORDS_GUARD, and unless its boxes cover every message:
 
@@ -57,6 +57,8 @@ integer addition, so tilings and workers agree.
 
 from __future__ import annotations
 
+import dataclasses
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
@@ -68,6 +70,7 @@ from . import agcode, rrspace
 from .agcode import Codeword, LinearCode, encode
 from .gf import Field
 
+METHODS = ("auto", "exhaustive", "reduced")
 CROSS_CHECK_LIMIT = 1 << 23  # messages
 _WORDS_GUARD = 1 << 28
 _TILE_WORDS = 1 << 18
@@ -79,15 +82,20 @@ class SizeGuardError(ValueError):
     """The requested enumeration exceeds a hard size guard."""
 
 
+@dataclasses.dataclass
 class WeightEnumerator:
-    """Exact mapping weight -> codeword count for one code."""
+    """Exact mapping weight -> codeword count for one code, as built by
+    ``weight_enumerator``: weights ascending, counts nonzero ints.  Equal
+    when n and counts are; ``method`` and ``elapsed_ms``, informational and
+    excluded from determinism comparisons, are not compared."""
 
-    def __init__(self, q: int, m: int, n: int, k: int, counts: dict[int, int],
-                 method: str, elapsed_ms: float):
-        self.q, self.m, self.n, self.k = q, m, n, k
-        self.counts = {w: int(c) for w, c in sorted(counts.items()) if c}
-        self.method = method
-        self.elapsed_ms = elapsed_ms
+    q: int = dataclasses.field(compare=False)
+    m: int = dataclasses.field(compare=False)
+    n: int
+    k: int = dataclasses.field(compare=False)
+    counts: dict[int, int]
+    method: str = dataclasses.field(compare=False)
+    elapsed_ms: float = dataclasses.field(compare=False)
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -102,17 +110,8 @@ class WeightEnumerator:
     def count(self, w: int) -> int:
         return self.counts.get(w, 0)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeightEnumerator) and self.n == other.n \
-            and self.counts == other.counts
-
-    def __repr__(self) -> str:
-        return f"WeightEnumerator(q={self.q}, m={self.m}, counts={self.counts})"
-
     def to_dict(self) -> dict:
-        # elapsed_ms is informational only and excluded from determinism
-        # comparisons.
-        return {**vars(self), "counts": {str(w): c for w, c in self.counts.items()}}
+        return {**dataclasses.asdict(self), "counts": {str(w): c for w, c in self.counts.items()}}
 
 
 # -- the product-box kernel --------------------------------------------
@@ -190,9 +189,10 @@ def _route_counts(field: Field, route: str, exponents, jobs: int) -> np.ndarray:
     (factors, weight) boxes of the route's plan plus the zero message.  The
     plan is walked once before any table is built: refused as soon as its
     words pass _WORDS_GUARD, and unless its words, each counted weight
-    times, and the zero message make Q^k."""
+    times, and the zero message make Q^k.  An unknown route is a KeyError."""
     big_q, plan, words, covered = field.order, [], 0, 1
-    for factors, weight in (_reduced_plan if route == "reduced" else _exhaustive_plan)(field, exponents):
+    plan_of = {"exhaustive": _exhaustive_plan, "reduced": _reduced_plan}[route]
+    for factors, weight in plan_of(field, exponents):
         box = prod(big_q if s is None else len(s) for _, s in factors)
         words += box
         if words > _WORDS_GUARD:
@@ -287,18 +287,20 @@ def weight_enumerator(code: LinearCode, method: str = "auto", jobs: int = 1) -> 
     (field, E, route), so every orbit of a (q, m) shares one entry.  ``auto``
     runs both routes up to CROSS_CHECK_LIMIT messages, insists they agree
     and returns the exhaustive one; above it, the reduced route alone."""
-    if method not in ("auto", "exhaustive", "reduced"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    # The thread pool would run jobs=1.5 too; refuse what is not an integer.
-    if not hasattr(type(jobs), "__index__") or jobs < 1:
+    try:
+        positive = operator.index(jobs) >= 1  # as Field.check_symbols; a pool runs 1.5 too
+    except TypeError:
+        positive = False
+    if not positive:
         raise ValueError(f"jobs={jobs!r} is not a positive integer")
     if method == "auto":
         if code.field.order**code.k > CROSS_CHECK_LIMIT:
             return weight_enumerator(code, "reduced", jobs)
-        ex, red = (weight_enumerator(code, route, jobs) for route in ("exhaustive", "reduced"))
+        ex, red = (weight_enumerator(code, route, jobs) for route in METHODS if route != "auto")
         if ex != red:
-            raise RuntimeError(f"enumerator mismatch at q={code.q}, m={code.m}: "
-                               f"exhaustive {ex.counts} vs reduced {red.counts}")
+            raise RuntimeError(f"enumerator mismatch at q={code.q}, m={code.m}: {ex} vs {red}")
         return ex
     exponents = tuple(code.exponents.tolist())
     key = (code.field, exponents, method)
@@ -340,11 +342,8 @@ def upper_bound_witness(code: LinearCode) -> tuple[list[int], Codeword]:
     codeword of full weight q^2 - 1.
     """
     field, m = code.field, code.m
-    picks = [c for c in field.subfield_elements() if c != 0][: m - 2]
-    if len(picks) < m - 2:
-        raise ValueError("not enough subfield elements for the witness")
     coeffs = [1]
-    for c in picks:
+    for c in [s for s in field.subfield_elements() if s != 0][: m - 2]:
         root = field.mul(code.spec.tau, c)
         nxt = [0] * (len(coeffs) + 1)
         for j, old in enumerate(coeffs):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from hermicode import cli, verify
+from hermicode import cli, verify, weights
 
 
 def run_cli(argv):
@@ -160,6 +160,13 @@ def test_jobs_must_be_a_positive_integer(command, jobs):
     rc, out, err = run_cli(command + ["--jobs", jobs])
     assert rc == 2 and out == ""
     assert "positive integer" in err
+
+
+def test_method_choices_are_the_enumeration_methods():
+    subcommands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    method = next(a for a in subcommands.choices["weights"]._actions if a.dest == "method")
+    assert method.choices == weights.METHODS
+    assert method.default in weights.METHODS
 
 
 @pytest.mark.parametrize("method", ["reduced", "auto"])

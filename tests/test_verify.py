@@ -191,6 +191,14 @@ def test_checks_for_single_pair():
     assert any(i.startswith("m3.distance") for i in ids)
 
 
+def test_every_claim_at_q9_passes():
+    # q = 9 is outside SUITE_QS, so no suite reference pins its claims.
+    assert 9 not in verify.SUITE_QS
+    claims = verify.checks_for(9, None)
+    assert len(claims) == 16
+    assert [c.claim_id for c in claims if c.status != "pass"] == []
+
+
 @pytest.mark.parametrize("q", sorted(SUPPORTED_Q))
 def test_checks_for_one_m_is_the_q_suite_restricted_to_m(q):
     every = [c for c in verify.checks_for(q, None)

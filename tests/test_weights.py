@@ -864,6 +864,25 @@ def test_enumerator_bookkeeping():
     assert enum.total() == 16**4
     assert enum.count(0) == 1
     assert enum.nonzero_weights() == sorted(w for w in enum.counts if w)
+    # weight_enumerator hands the record its counts ascending, nonzero and
+    # as ints; the record does not normalize them again.
+    for route in ("exhaustive", "reduced"):
+        counts = weight_enumerator(_code(4, 3), route).counts
+        assert list(counts) == sorted(counts)
+        assert all(type(c) is int and c > 0 for c in counts.values())
+    # Equality is on n and counts: the route and its time do not enter.
+    q, m, n, k, counts = enum.q, enum.m, enum.n, enum.k, enum.counts
+    assert enum == weights.WeightEnumerator(q, m, n, k, dict(counts), "reduced", enum.elapsed_ms + 1)
+    assert enum != weights.WeightEnumerator(q, m, n + 1, k, dict(counts), enum.method, enum.elapsed_ms)
+    assert enum != weights.WeightEnumerator(q, m, n, k, {**counts, 0: 2}, enum.method, enum.elapsed_ms)
+
+
+@pytest.mark.parametrize("route", ["auto", "exhaustve"])
+def test_route_counts_refuses_an_unknown_route(route):
+    # A name that is not a route has no plan: "auto" is a method, not a
+    # route, and a misspelt route does not fall through to the exhaustive one.
+    with pytest.raises(KeyError):
+        weights._route_counts(field_for_q(3), route, _code(3, 2).exponents.tolist(), 1)
 
 
 def test_jobs_do_not_change_counts(monkeypatch):
@@ -882,10 +901,12 @@ def test_jobs_do_not_change_counts(monkeypatch):
                     assert weight_enumerator(code, method, jobs=jobs).counts == base
 
 
-@pytest.mark.parametrize("jobs", [0, -2, 1.5, 2.0, "2"])
+@pytest.mark.parametrize("jobs", [0, -2, 1.5, 2.0, "2", np.array(1.5), np.array([2])])
 def test_weight_enumerator_refuses_nonpositive_jobs(jobs):
     # Refused also when the enumerator is already cached; 1.5 and 2.0
     # would run in a thread pool, and "2" would fail there with a TypeError.
+    # A 0-d float array has __index__ on its type, but operator.index
+    # refuses it, as it refuses a one-element array.
     code = _code(3, 2)
     weight_enumerator(code, "exhaustive", jobs=1)
     with pytest.raises(ValueError, match="positive integer"):

@@ -38,7 +38,7 @@ class LinearCode:
     """A [q^2 - 1, m(m-1)/2 + 1] evaluation code over F_{q^2}.
 
     ``powers`` holds the basis exponent pairs (a_t, b_t) and
-    ``exponents`` the shift exponents e_t = a_t + (q+1) b_t.
+    ``exponents`` the shift exponents e_t = a_t + (q+1) b_t, both read-only.
     """
 
     def __init__(self, field: Field, m: int, spec: OrbitSpec, gen: np.ndarray):
@@ -50,6 +50,7 @@ class LinearCode:
         self.k, self.n = gen.shape
         self.powers = rrspace.powers(field, m)
         self.exponents = self.powers @ np.array([1, field.q + 1])
+        self.powers.flags.writeable = self.exponents.flags.writeable = False
 
     def __repr__(self) -> str:
         return f"LinearCode(q={self.q}, m={self.m}, n={self.n}, k={self.k})"
@@ -100,6 +101,7 @@ def build_code(field: Field, m: int, spec: OrbitSpec | None = None) -> LinearCod
     logs = field.log_table[np.array(orbit_of(spec))[:, :2]]
     powers = rrspace.powers(field, m)  # checks the range of m
     gen = field.exp_table[(powers @ logs.T) % (field.order - 1)].astype(np.int16)
+    gen.flags.writeable = False
     code = LinearCode(field, m, spec, gen)
     log_tau, log_u = field.log_table[[spec.tau, spec.u]]
     scale = field.exp_table[(powers[:, 1] * log_tau + code.exponents * log_u) % (field.order - 1)]

@@ -1,4 +1,5 @@
-"""Exact arithmetic in the tower F_p < F_q < F_{q^2}, q = p^k.
+"""Exact arithmetic in the tower F_p < F_q < F_{q^2}, q = p^k, for the
+six q of ``SUPPORTED_Q`` (3, 4, 5, 7, 8 and 9) and for no other q.
 
 An element of F_{q^2} is an integer in [0, q^2): its base-p digits,
 little-endian, are the coordinates in the polynomial basis 1, x, ...,
@@ -28,22 +29,10 @@ from functools import lru_cache
 import numpy as np
 
 # (p, k) per supported subfield order q; q^2 is the alphabet of the codes.
+# This is the only list of fields: ``Field`` builds these six and refuses
+# any other (p, k).  Every entry has p prime and q^2 = p^(2k) <= 2^8, as
+# the enumeration kernel stores symbols as uint8.
 SUPPORTED_Q = {3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
-
-# Symbols are stored as uint8 by the enumeration kernel, and every field
-# builds Q x Q tables, so the alphabet is capped at 2^8 elements.
-_MAX_ORDER = 1 << 8
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _product_table(digits: np.ndarray, low: np.ndarray, p: int) -> np.ndarray:
@@ -67,9 +56,9 @@ def _product_table(digits: np.ndarray, low: np.ndarray, p: int) -> np.ndarray:
 class Field:
     """The field F_{q^2} with q = p^k, plus its norm/trace structure.
 
-    All tables are built at construction.  A candidate f with a root in
-    F_p is skipped before its product table is built, and omega is found
-    by walking the powers of every element through the table together.
+    Read-only tables, built at construction.  A candidate f with a root
+    in F_p is skipped before its product table is built, and omega is
+    found by walking the powers of every element through them together.
 
     Operations take and return plain integer encodings in [0, Q) and do
     not check that range; callers that take symbols from outside do, with
@@ -77,17 +66,10 @@ class Field:
     """
 
     def __init__(self, p: int, k: int):
-        if not _is_prime(p):
-            raise ValueError(f"p={p} is not prime")
-        if k < 1:
-            raise ValueError(f"k={k} must be positive")
-        q = p**k
-        order = q * q
-        if q < 3:
-            raise ValueError(f"q={q} is below the minimum of 3")
-        if order > _MAX_ORDER:
-            raise ValueError(f"q^2={order} exceeds the table limit {_MAX_ORDER}")
-        self.p, self.k, self.q, self.order = p, k, q, order
+        pairs = sorted(SUPPORTED_Q.values())
+        if (p, k) not in pairs:
+            raise ValueError(f"(p, k)=({p}, {k}) is not a supported field; choose one of {pairs}")
+        self.p, self.k, self.q, self.order = p, k, p**k, p**(2 * k)
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -132,6 +114,9 @@ class Field:
         self.subfield_mask = self.frobenius_table == np.arange(order, dtype=np.int16)
         if int(self.subfield_mask.sum()) != self.q:
             raise AssertionError("Frobenius fixed field has the wrong size")
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
+                table.flags.writeable = False
 
     # -- arithmetic on encodings -------------------------------------
     def add(self, a: int, b: int) -> int:
@@ -213,7 +198,7 @@ class Field:
 
 @lru_cache(maxsize=None)
 def make_field(p: int, k: int) -> Field:
-    """Build (once) the field F_{p^(2k)} with its deterministic tables."""
+    """Build (once) F_{p^(2k)}, (p, k) a value of ``SUPPORTED_Q``, with its tables."""
     return Field(p, k)
 
 

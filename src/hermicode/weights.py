@@ -63,6 +63,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from math import gcd, prod
+from types import MappingProxyType
 
 import numpy as np
 
@@ -82,10 +83,11 @@ class SizeGuardError(ValueError):
     """The requested enumeration exceeds a hard size guard."""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class WeightEnumerator:
     """Exact mapping weight -> codeword count for one code, as built by
-    ``weight_enumerator``: weights ascending, counts nonzero ints.  Equal
+    ``weight_enumerator``: weights ascending, counts nonzero ints, read-only
+    (a ``MappingProxyType``), so a cached record cannot be edited.  Equal
     when n and counts are; ``method`` and ``elapsed_ms``, informational and
     excluded from determinism comparisons, are not compared."""
 
@@ -111,7 +113,9 @@ class WeightEnumerator:
         return self.counts.get(w, 0)
 
     def to_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "counts": {str(w): c for w, c in self.counts.items()}}
+        # asdict would deep-copy the mapping proxy, which cannot be copied.
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {**fields, "counts": {str(w): c for w, c in self.counts.items()}}
 
 
 # -- the product-box kernel --------------------------------------------
@@ -309,7 +313,7 @@ def weight_enumerator(code: LinearCode, method: str = "auto", jobs: int = 1) -> 
     start = time.perf_counter()
     raw = _route_counts(code.field, method, exponents, jobs)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    counts = {w: int(c) for w, c in enumerate(raw) if c}
+    counts = MappingProxyType({w: int(c) for w, c in enumerate(raw) if c})
     enum = WeightEnumerator(code.q, code.m, code.n, code.k, counts, method, elapsed_ms)
     big_q, n, k = code.field.order, code.n, code.k
     if enum.total() != big_q**k:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from oracles import evaluate, table_combination
 
-from hermicode import agcode, linalg, rrspace
+from hermicode import agcode, linalg, rrspace, verify
 from hermicode.agcode import LinearCode, build_code, check_cyclic, encode
 from hermicode.curve import all_orbit_specs, canonical_orbit_spec, orbit_of
 from hermicode.gf import field_for_q
@@ -119,6 +119,17 @@ def test_swapped_columns_not_cyclic():
     perturbed[:, [0, 1]] = perturbed[:, [1, 0]]
     fixture = LinearCode(f, 2, code.spec, perturbed)
     assert not check_cyclic(fixture)
+
+
+def test_built_code_arrays_are_read_only():
+    code = verify.code_for(5, 3)
+    for array in (code.gen, code.powers, code.exponents):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # A generator that the caller passes in keeps its flags.
+    gen = code.gen.copy()
+    fixture = LinearCode(code.field, 3, code.spec, gen)
+    assert fixture.gen is gen and gen.flags.writeable
 
 
 def test_all_ones_row_is_shift_closed():

@@ -138,8 +138,19 @@ def test_make_field_refuses_alphabets_the_tables_cannot_hold(monkeypatch):
 
     monkeypatch.setattr(gf, "_product_table", build)
     monkeypatch.setattr(gf.Field, "_build_tables", build)
-    with pytest.raises(ValueError, match="exceeds the table limit 256"):
-        make_field(2, 5)  # Q = 1024 > 2^8
+    # Q = 1024 > 2^8; F_{11^2}, F_{13^2} and F_{2^8} fit in uint8 but are
+    # not in SUPPORTED_Q; the rest are not fields of any supported code.
+    for p, k in [(2, 5), (11, 1), (13, 1), (2, 4), (4, 1), (2, 0), (2, 1), (2, 9)]:
+        with pytest.raises(ValueError, match=r"\(p, k\)=\(\d+, \d+\) is not a supported field"):
+            make_field(p, k)
+
+
+def test_field_tables_are_read_only():
+    f = field_for_q(3)
+    with pytest.raises(ValueError, match="read-only"):
+        f.mul_table[2, 2] = 0
+    tables = [v for v in vars(f).values() if isinstance(v, np.ndarray)]
+    assert tables and not any(t.flags.writeable for t in tables)
 
 
 # (irreducible, omega) per q: both fix every encoding, so they are pinned.

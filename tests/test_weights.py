@@ -9,6 +9,7 @@ Frobenius cut's orbits among them, and the dual distributions of the
 MacWilliams transform), and the distributions against their closed
 forms."""
 
+import dataclasses
 import itertools
 import sys
 import weakref
@@ -1207,3 +1208,14 @@ def test_weight_enumerator_to_dict():
     assert payload["counts"] == {"0": 1, "6": 32, "8": 48}
     assert payload["method"] == "exhaustive"
     assert "elapsed_ms" in payload
+
+
+def test_cached_enumerator_cannot_be_edited():
+    enum = weight_enumerator(_code(3, 2), "exhaustive")
+    with pytest.raises(TypeError):
+        enum.counts[6] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        enum.method = "x"
+    again = weight_enumerator(_code(3, 2), "exhaustive")
+    assert dict(again.counts) == {0: 1, 6: 32, 8: 48}
+    assert again.method == "exhaustive"

@@ -34,23 +34,26 @@ class Codeword:
         return len(self.symbols) - self.symbols.count(0)
 
 
+@dataclass(frozen=True, eq=False)
 class LinearCode:
     """A [q^2 - 1, m(m-1)/2 + 1] evaluation code over F_{q^2}.
 
     ``powers`` holds the basis exponent pairs (a_t, b_t) and
     ``exponents`` the shift exponents e_t = a_t + (q+1) b_t, both read-only.
+    No attribute can be rebound or deleted.
     """
 
-    def __init__(self, field: Field, m: int, spec: OrbitSpec, gen: np.ndarray):
-        self.field = field
-        self.q = field.q
-        self.m = m
-        self.spec = spec
-        self.gen = gen
-        self.k, self.n = gen.shape
-        self.powers = rrspace.powers(field, m)
-        self.exponents = self.powers @ np.array([1, field.q + 1])
-        self.powers.flags.writeable = self.exponents.flags.writeable = False
+    field: Field
+    m: int
+    spec: OrbitSpec
+    gen: np.ndarray
+
+    def __post_init__(self):
+        powers = rrspace.powers(self.field, self.m)
+        exponents = powers @ np.array([1, self.field.q + 1])
+        powers.flags.writeable = exponents.flags.writeable = False
+        k, n = self.gen.shape
+        vars(self).update(q=self.field.q, k=k, n=n, powers=powers, exponents=exponents)
 
     def __repr__(self) -> str:
         return f"LinearCode(q={self.q}, m={self.m}, n={self.n}, k={self.k})"

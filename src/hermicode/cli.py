@@ -119,21 +119,10 @@ def _report_json(claims, jobs: int) -> str:
         "d": enum.min_distance,
         "counts": {str(w): c for w, c in enum.counts.items()},
     } for enum in enums]
-    cubic = []
-    for q in [q for q in verify.SUITE_QS if q >= 4]:
-        enum = verify.checked_enumerator(verify.code_for(q, 3), jobs)
-        nz = enum.nonzero_weights()
-        cubic.append({
-            "q": q,
-            "n": enum.n,
-            "k": enum.k,
-            "d": enum.min_distance,
-            "min_count": enum.count(enum.min_distance),
-            "second_weight": nz[1],
-            "second_count": enum.count(nz[1]),
-            "third_weight": nz[2],
-            "distinct_nonzero_weights": len(nz),
-        })
+    cubics = [verify.checked_enumerator(verify.code_for(q, 3), jobs)
+              for q in verify.SUITE_QS if q >= 4]
+    cubic = [{"q": enum.q, "n": enum.n, "k": enum.k, **verify.cubic_facts(enum)}
+             for enum in cubics]
     return _canonical_json({
         "qs": list(verify.SUITE_QS),
         "two_weight": two_weight,

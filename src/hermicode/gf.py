@@ -24,6 +24,7 @@ Addition is digit-wise mod p: per pair in ``add_table``, in bulk in ``combine``.
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -53,23 +54,29 @@ def _product_table(digits: np.ndarray, low: np.ndarray, p: int) -> np.ndarray:
     return products @ p ** np.arange(digits.shape[1])
 
 
+@dataclass(frozen=True)
 class Field:
     """The field F_{q^2} with q = p^k, plus its norm/trace structure.
 
-    Read-only tables, built at construction.  A candidate f with a root
-    in F_p is skipped before its product table is built, and omega is
-    found by walking the powers of every element through them together.
+    Read-only: no attribute can be rebound or deleted, nor a table written.
+    A candidate f with a root in F_p is skipped before its product table
+    is built, and omega is found by walking the powers of every element.
 
     Operations take and return plain integer encodings in [0, Q) and do
     not check that range; callers that take symbols from outside do, with
     ``check_symbols``.
     """
 
-    def __init__(self, p: int, k: int):
+    p: int
+    k: int
+
+    def __post_init__(self):
+        _check_integers((self.p, self.k), "(p, k) values")
         pairs = sorted(SUPPORTED_Q.values())
-        if (p, k) not in pairs:
-            raise ValueError(f"(p, k)=({p}, {k}) is not a supported field; choose one of {pairs}")
-        self.p, self.k, self.q, self.order = p, k, p**k, p**(2 * k)
+        if (self.p, self.k) not in pairs:
+            raise ValueError(f"(p, k)=({self.p}, {self.k}) is not a supported field; "
+                             f"choose one of {pairs}")
+        vars(self).update(q=self.p**self.k, order=self.p**(2 * self.k))
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -86,8 +93,6 @@ class Field:
             mul = _product_table(digits, low, p)
             if (mul[1:, 1:] != 0).all():
                 break
-        self.irreducible = tuple(int(c) for c in low) + (1,)
-        self.mul_table = mul.astype(np.int16)
 
         # powers[i, c] = c^i for i in 0..n; omega's column is its walk.
         elements = np.arange(order)
@@ -95,28 +100,27 @@ class Field:
         for i in range(1, order):
             powers[i] = mul[powers[i - 1], elements]
         full_order = (powers[n] == 1) & (powers[1:n] != 1).all(axis=0)
-        self.omega = int(np.argmax(full_order))
-        exp = powers[:n, self.omega].copy()
+        omega = int(np.argmax(full_order))
+        exp = powers[:n, omega].copy()
         log = np.full(order, -1, dtype=np.int64)
         log[exp] = np.arange(n)
-        self.exp_table = exp
-        self.log_table = log
 
         # Addition is digit-wise mod p in the polynomial basis.
-        self._digits, self._places = digits.astype(np.uint8), weights
         sums = (digits[:, None, :] + digits[None, :, :]) % p
-        self.add_table = (sums * weights).sum(axis=2).astype(np.int16)
-        self.neg_table = ((digits * (p - 1)) % p * weights).sum(axis=1).astype(np.int16)
-
-        # c^(n-1) is the inverse of c != 0, and 0 maps to 0 in both rows.
-        self.inv_table = powers[n - 1].astype(np.int16)
-        self.frobenius_table = powers[self.q].astype(np.int16)
-        self.subfield_mask = self.frobenius_table == np.arange(order, dtype=np.int16)
-        if int(self.subfield_mask.sum()) != self.q:
+        frobenius = powers[self.q].astype(np.int16)
+        subfield = frobenius == np.arange(order, dtype=np.int16)
+        if int(subfield.sum()) != self.q:
             raise AssertionError("Frobenius fixed field has the wrong size")
-        for table in vars(self).values():
-            if isinstance(table, np.ndarray):
-                table.flags.writeable = False
+        tables = dict(mul_table=mul.astype(np.int16), exp_table=exp, log_table=log,
+                      _digits=digits.astype(np.uint8), _places=weights,
+                      add_table=(sums * weights).sum(axis=2).astype(np.int16),
+                      neg_table=((digits * (p - 1)) % p * weights).sum(axis=1).astype(np.int16),
+                      # c^(n-1) is the inverse of c != 0, and 0 maps to 0 in both rows.
+                      inv_table=powers[n - 1].astype(np.int16),
+                      frobenius_table=frobenius, subfield_mask=subfield)
+        for table in tables.values():
+            table.flags.writeable = False
+        vars(self).update(tables, irreducible=tuple(int(c) for c in low) + (1,), omega=omega)
 
     # -- arithmetic on encodings -------------------------------------
     def add(self, a: int, b: int) -> int:
@@ -164,14 +168,7 @@ class Field:
     def check_symbols(self, symbols, what: str) -> None:
         """Refuse ``symbols`` unless each is an integer (a value that
         ``operator.index`` accepts) in [0, Q); ``what`` names them."""
-        bad = []
-        for s in symbols:
-            try:
-                operator.index(s)
-            except TypeError:
-                bad.append(s)
-        if bad:
-            raise ValueError(f"{what} {bad} are not integers")
+        _check_integers(symbols, what)
         bad = [s for s in symbols if not 0 <= s < self.order]
         if bad:
             raise ValueError(f"{what} {bad} outside [0, {self.order})")
@@ -189,14 +186,21 @@ class Field:
     def __repr__(self) -> str:
         return f"Field(p={self.p}, k={self.k}, q={self.q}, omega={self.omega})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Field) and (self.p, self.k) == (other.p, other.k)
 
-    def __hash__(self) -> int:
-        return hash((self.p, self.k))
+def _check_integers(values, what: str) -> None:
+    """Refuse ``values`` unless ``operator.index`` accepts each; ``what`` names them."""
+    bad = []
+    for v in values:
+        try:
+            operator.index(v)
+        except TypeError:
+            bad.append(v)
+    if bad:
+        raise ValueError(f"{what} {bad} are not integers")
 
 
-@lru_cache(maxsize=None)
+# typed: 3.0 must not find the cached field of 3, but reach Field's check.
+@lru_cache(maxsize=None, typed=True)
 def make_field(p: int, k: int) -> Field:
     """Build (once) F_{p^(2k)}, (p, k) a value of ``SUPPORTED_Q``, with its tables."""
     return Field(p, k)

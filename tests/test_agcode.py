@@ -132,6 +132,19 @@ def test_built_code_arrays_are_read_only():
     assert fixture.gen is gen and gen.flags.writeable
 
 
+def test_code_attributes_cannot_be_rebound_or_deleted():
+    code = verify.code_for(3, 2)
+    exponents = code.exponents.tolist()
+    for name, value in [("exponents", np.array([0, 1])), ("gen", np.zeros_like(code.gen)),
+                        *((name, None) for name in vars(code))]:
+        with pytest.raises(AttributeError):
+            setattr(code, name, value)
+        with pytest.raises(AttributeError):
+            delattr(code, name)
+    assert code.exponents.tolist() == exponents
+    assert all(c.status == "pass" for c in verify.checks_for(3, 2))
+
+
 def test_all_ones_row_is_shift_closed():
     f = field_for_q(3)
     code = build_code(f, 2)

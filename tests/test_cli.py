@@ -3,10 +3,13 @@
 import io
 import contextlib
 import json
+from pathlib import Path
 
 import pytest
 
 from hermicode import cli, verify, weights
+
+REPORT_REF = Path(__file__).parent / "ref" / "report.json"
 
 
 def run_cli(argv):
@@ -268,3 +271,9 @@ def test_verify_suite_all_exit_zero():
     claims = json.loads(out)
     assert len(claims) > 50
     assert not [c for c in claims if c["status"] == "fail"]
+
+
+def test_report_equals_the_reference():
+    rc, out, _ = run_cli(["report", "--suite", "all", "--jobs", "1"])
+    assert rc == 0
+    assert out.encode() == REPORT_REF.read_bytes()

@@ -153,6 +153,30 @@ def test_field_tables_are_read_only():
     assert tables and not any(t.flags.writeable for t in tables)
 
 
+def test_field_attributes_cannot_be_rebound_or_deleted():
+    f = field_for_q(5)
+    product = f.mul(2, 3)
+    for name in list(vars(f)):
+        with pytest.raises(AttributeError):
+            setattr(f, name, f.add_table)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    assert f.mul(2, 3) == product != 0
+    assert f.mul_table is not f.add_table
+
+
+def test_make_field_refuses_non_integers_cached_or_not():
+    # A float equal to a supported p must not reach the tables, nor find
+    # the cached field of the int.
+    make_field.cache_clear()
+    for _ in range(2):
+        for p, k in [(3.0, 1), (3, 1.0), (np.float64(3), 1)]:
+            with pytest.raises(ValueError, match="not integers"):
+                make_field(p, k)
+        field_for_q(3)
+    assert make_field(np.int64(3), 1) == field_for_q(3)
+
+
 # (irreducible, omega) per q: both fix every encoding, so they are pinned.
 FIELD_CHOICES = {
     3: ((1, 0, 1), 4),

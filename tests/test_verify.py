@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from hermicode import agcode, verify, weights
+from hermicode import agcode, cli, verify, weights
 from hermicode.gf import SUPPORTED_Q, field_for_q
 from hermicode.curve import all_orbit_specs, orbit_of
 
@@ -50,10 +50,51 @@ def test_distance_bounds(q, m, d):
     assert f"d={d}" in rep.detail
 
 
+def _zero_first_symbol(monkeypatch):
+    """Make ``weights.encode`` drop one nonzero symbol of every word."""
+    real = weights.encode
+
+    def lighter(code, msg):
+        symbols = list(real(code, msg).symbols)
+        symbols[next(i for i, s in enumerate(symbols) if s)] = 0
+        return agcode.Codeword(tuple(symbols))
+
+    monkeypatch.setattr(weights, "encode", lighter)
+
+
+def test_a_wrong_witness_fails_its_claim(monkeypatch):
+    # upper_bound_witness returns whatever word it gets; the claim judges it.
+    _zero_first_symbol(monkeypatch)
+    rep = verify.check_distance_bounds(5, 3)
+    assert rep.status == "fail"
+    assert rep.expected["witness_weight"] == 18
+    assert rep.observed["witness_weight"] == 17
+
+
+def test_a_wrong_witness_exits_1_with_its_json(monkeypatch, capsys):
+    _zero_first_symbol(monkeypatch)
+    assert cli.main(["verify", "--q", "5", "--m", "3"]) == 1
+    out, err = capsys.readouterr()
+    failed = [c for c in json.loads(out) if c["status"] == "fail"]
+    assert err == "" and [c["claim_id"] for c in failed] == ["distance.bounds.q5.m3"]
+    assert failed[0]["observed"]["witness_weight"] == 17
+
+
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_two_weight(q):
     rep = verify.check_two_weight(q)
     assert rep.status == "pass"
+
+
+@pytest.mark.parametrize("q,distinct", [(4, 6), (5, 7), (7, 8), (8, 8), (9, 9)])
+def test_cubic_facts(q, distinct):
+    enum = verify.checked_enumerator(verify.code_for(q, 3))
+    nz = enum.nonzero_weights()
+    assert verify.cubic_facts(enum) == {
+        "d": q * q - q - 2, "min_count": enum.count(nz[0]),
+        "second_weight": nz[1], "second_count": enum.count(nz[1]),
+        "third_weight": nz[2], "distinct_nonzero_weights": distinct,
+    }
 
 
 def test_cubic_claims_q5_exceptions():

@@ -59,7 +59,7 @@ class LinearCode:
         return f"LinearCode(q={self.q}, m={self.m}, n={self.n}, k={self.k})"
 
     def rows(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self.gen]
+        return self.gen.tolist()
 
     def export_dict(self) -> dict:
         """Self-describing generator-matrix payload, every element as
@@ -103,7 +103,7 @@ def build_code(field: Field, m: int, spec: OrbitSpec | None = None) -> LinearCod
         spec = canonical_orbit_spec(field)
     logs = field.log_table[np.array(orbit_of(spec))[:, :2]]
     powers = rrspace.powers(field, m)  # checks the range of m
-    gen = field.exp_table[(powers @ logs.T) % (field.order - 1)].astype(np.int16)
+    gen = field.exp_table[(powers @ logs.T) % (field.order - 1)]
     gen.flags.writeable = False
     code = LinearCode(field, m, spec, gen)
     log_tau, log_u = field.log_table[[spec.tau, spec.u]]

@@ -30,10 +30,6 @@ EXIT_USAGE = 2
 EXIT_SIZE_GUARD = 3
 
 
-def _canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 class _Usage(Exception):
     pass
 
@@ -75,20 +71,20 @@ def _cmd_points(args):
         },
     }
     lines = (f"{name},{p[0]},{p[1]},{p[2]}" for name, pts in sections.items() for p in pts)
-    return EXIT_OK, partial(_canonical_json, payload), chain(["section,x1,x2,x3"], lines)
+    return EXIT_OK, partial(verify.canonical_json, payload), chain(["section,x1,x2,x3"], lines)
 
 
 def _cmd_build(args):
     code = verify.code_for(args.q, _checked_m(args))
     lines = (",".join(str(x) for x in row) for row in code.rows())
-    return EXIT_OK, partial(_canonical_json, code.export_dict()), lines
+    return EXIT_OK, partial(verify.canonical_json, code.export_dict()), lines
 
 
 def _cmd_weights(args):
     code = verify.code_for(args.q, _checked_m(args))
     enum = weights.weight_enumerator(code, args.method, args.jobs)
     lines = (f"{w},{c}" for w, c in enum.counts.items())
-    return EXIT_OK, partial(_canonical_json, enum.to_dict()), chain(["weight,count"], lines)
+    return EXIT_OK, partial(verify.canonical_json, enum.to_dict()), chain(["weight,count"], lines)
 
 
 def _cmd_verify(args):
@@ -123,7 +119,7 @@ def _report_json(claims, jobs: int) -> str:
               for q in verify.SUITE_QS if q >= 4]
     cubic = [{"q": enum.q, "n": enum.n, "k": enum.k, **verify.cubic_facts(enum)}
              for enum in cubics]
-    return _canonical_json({
+    return verify.canonical_json({
         "qs": list(verify.SUITE_QS),
         "two_weight": two_weight,
         "cubic": cubic,

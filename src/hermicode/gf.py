@@ -32,7 +32,7 @@ import numpy as np
 # (p, k) per supported subfield order q; q^2 is the alphabet of the codes.
 # This is the only list of fields: ``Field`` builds these six and refuses
 # any other (p, k).  Every entry has p prime and q^2 = p^(2k) <= 2^8, as
-# the enumeration kernel stores symbols as uint8.
+# every table of field elements stores its symbols as uint8.
 SUPPORTED_Q = {3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
 
 
@@ -101,23 +101,22 @@ class Field:
             powers[i] = mul[powers[i - 1], elements]
         full_order = (powers[n] == 1) & (powers[1:n] != 1).all(axis=0)
         omega = int(np.argmax(full_order))
-        exp = powers[:n, omega].copy()
         log = np.full(order, -1, dtype=np.int64)
-        log[exp] = np.arange(n)
+        log[powers[:n, omega]] = np.arange(n)
 
         # Addition is digit-wise mod p in the polynomial basis.
         sums = (digits[:, None, :] + digits[None, :, :]) % p
-        frobenius = powers[self.q].astype(np.int16)
-        subfield = frobenius == np.arange(order, dtype=np.int16)
+        frobenius = powers[self.q]
+        subfield = frobenius == elements
         if int(subfield.sum()) != self.q:
             raise AssertionError("Frobenius fixed field has the wrong size")
-        tables = dict(mul_table=mul.astype(np.int16), exp_table=exp, log_table=log,
-                      _digits=digits.astype(np.uint8), _places=weights,
-                      add_table=(sums * weights).sum(axis=2).astype(np.int16),
-                      neg_table=((digits * (p - 1)) % p * weights).sum(axis=1).astype(np.int16),
+        tables = dict(mul_table=mul, exp_table=powers[:n, omega], frobenius_table=frobenius,
+                      add_table=(sums * weights).sum(axis=2),
+                      neg_table=((digits * (p - 1)) % p * weights).sum(axis=1),
                       # c^(n-1) is the inverse of c != 0, and 0 maps to 0 in both rows.
-                      inv_table=powers[n - 1].astype(np.int16),
-                      frobenius_table=frobenius, subfield_mask=subfield)
+                      inv_table=powers[n - 1], _digits=digits)
+        tables = {name: table.astype(np.uint8) for name, table in tables.items()}
+        tables.update(log_table=log, _places=weights, subfield_mask=subfield)
         for table in tables.values():
             table.flags.writeable = False
         vars(self).update(tables, irreducible=tuple(int(c) for c in low) + (1,), omega=omega)
@@ -208,7 +207,7 @@ def make_field(p: int, k: int) -> Field:
 
 def field_for_q(q: int) -> Field:
     """The field whose codes have alphabet F_{q^2}, for supported q."""
+    _check_integers((q,), "q values")  # 3.0 == 3 would find F_9
     if q not in SUPPORTED_Q:
         raise ValueError(f"q={q} not supported; choose one of {sorted(SUPPORTED_Q)}")
-    p, k = SUPPORTED_Q[q]
-    return make_field(p, k)
+    return make_field(*SUPPORTED_Q[q])

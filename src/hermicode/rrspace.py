@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import Field
+from .gf import Field, _check_integers
 
 
 def monomials(m: int) -> list[tuple[int, int]]:
@@ -30,6 +30,7 @@ def monomials(m: int) -> list[tuple[int, int]]:
 def powers(field: Field, m: int) -> np.ndarray:
     """Exponent pairs (a_t, b_t), basis function t being x^a_t * y^b_t:
     (0, 0) for the constant, then (i - m, j + 1) for y * x^i * y^j / x^m."""
+    _check_integers((m,), "m values")
     if not 2 <= m <= field.q - 1:
         raise ValueError(f"m={m} out of range [2, {field.q - 1}] (m=1 gives only constants)")
     return np.array([(0, 0)] + [(i - m, j + 1) for i, j in monomials(m)])

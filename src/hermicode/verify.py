@@ -75,7 +75,7 @@ def _judge(claim_id: str, params: dict, expected, observed, detail: str = "", *,
     return ClaimReport(claim_id, params, expected, observed, status, detail)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # 3.0 must reach field_for_q's check
 def code_for(q: int, m: int) -> agcode.LinearCode:
     return agcode.build_code(field_for_q(q), m)
 
@@ -313,5 +313,10 @@ def exit_status(claims: list[ClaimReport]) -> int:
     return 1 if any(c.status == "fail" for c in claims) else 0
 
 
+def canonical_json(payload) -> str:
+    """Sorted keys, compact separators, one final newline: equal payloads, equal bytes."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def claims_to_json(claims: list[ClaimReport]) -> str:
-    return json.dumps([c.to_dict() for c in claims], sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json([c.to_dict() for c in claims])

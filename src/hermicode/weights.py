@@ -39,8 +39,8 @@ which ``build_code`` proved equal to every orbit's curve-built code (the
 witnesses and root counts below stay on the curve, as its oracles).
 One kernel counts every box: each coordinate's symbol set (1, all Q
 symbols, omega^0 .. omega^(g - 1) at the reduced route's u, or orbit
-representatives after a cut u) times its monomial row is its table, as
-uint8.
+representatives after a cut u) times its monomial row is its table: the
+field's uint8 mul, add and neg tables are read as they are stored.
 A box's tables split into two halves of balanced size, each folded
 symbol-major into an (n, words) array of its partial sums, the left one
 negated, so a word has a zero wherever neg(left) == right.  A tile, some
@@ -152,15 +152,14 @@ def _histogram(flat: np.ndarray, n: int) -> np.ndarray:
 def _box_counts(field: Field, boxes, jobs: int) -> np.ndarray:
     """Sum over the (factors, weight) boxes of weight times the weight counts
     of every word r_1 + ... + r_s, r_i a row of the d_i x n table factors[i]."""
-    add = field.add_table.astype(np.uint8)
     counts = np.zeros(boxes[0][0][0].shape[1] + 1, dtype=np.int64)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         for factors, weight in boxes:
-            counts += weight * _tiled_box(field, add, factors, map if jobs == 1 else pool.map)
+            counts += weight * _tiled_box(field, factors, map if jobs == 1 else pool.map)
     return counts
 
 
-def _tiled_box(field: Field, add: np.ndarray, factors, pool_map) -> np.ndarray:
+def _tiled_box(field: Field, factors, pool_map) -> np.ndarray:
     """Weight counts of one box: its two halves folded here, its tiles
     run by ``pool_map``, or inline when the box is one tile.  The folds
     are dropped on return, so one box's folds are alive at a time."""
@@ -168,8 +167,8 @@ def _tiled_box(field: Field, add: np.ndarray, factors, pool_map) -> np.ndarray:
     sizes = [table.shape[0] for table in factors]
     h = min(range(len(sizes) + 1),
             key=lambda h: (max(prod(sizes[:h]), prod(sizes[h:])), prod(sizes[h:])))
-    neg_left = _fold(add, [field.neg_table[t] for t in factors[:h]], n)[:, :, None]
-    right = _fold(add, factors[h:], n)
+    neg_left = _fold(field.add_table, [field.neg_table[t] for t in factors[:h]], n)[:, :, None]
+    right = _fold(field.add_table, factors[h:], n)
     left = neg_left.shape[1]
     tiles = -(-left // max(1, _TILE_WORDS // right.shape[1]))
     width = -(-left // tiles)  # equal widths, none over the cap
@@ -206,8 +205,7 @@ def _route_counts(field: Field, route: str, exponents, jobs: int) -> np.ndarray:
         plan.append((factors, weight))
     if covered != big_q**len(exponents):
         raise RuntimeError(f"enumeration plan covers {covered} messages, not {big_q**len(exponents)}")
-    mul = field.mul_table.astype(np.uint8)
-    full = [mul[:, row] for row in agcode.monomial_rows(field, exponents)]
+    full = [field.mul_table[:, row] for row in agcode.monomial_rows(field, exponents)]
     counts = _box_counts(field, [([full[c] if s is None else full[c][s] for c, s in factors], weight)
                                  for factors, weight in plan], jobs)
     counts[0] += 1  # zero message

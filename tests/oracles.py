@@ -97,8 +97,7 @@ def full_scan_counts(field, exponents, jobs=1):
     plan and no zero message added by hand.  The exhaustive route must
     equal it; an E that repeats a residue is refused as there."""
     rows = agcode.monomial_rows(field, exponents)
-    mul = field.mul_table.astype(np.uint8)
-    return weights._box_counts(field, [([mul[:, row] for row in rows], 1)], jobs)
+    return weights._box_counts(field, [([field.mul_table[:, row] for row in rows], 1)], jobs)
 
 
 def translation_counts(field, exponents, jobs=1):
@@ -111,7 +110,7 @@ def translation_counts(field, exponents, jobs=1):
     rows = agcode.monomial_rows(field, exponents)
     k, n = rows.shape
     # scaled[t, j] = omega^j * row t.
-    scaled = field.mul_table.astype(np.uint8)[field.exp_table[:n, None], rows[:, None, :]]
+    scaled = field.mul_table[field.exp_table[:n, None], rows[:, None, :]]
     boxes = []
     for s in range(1, k + 1):
         for coords in combinations(range(k), s):

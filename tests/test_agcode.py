@@ -45,7 +45,7 @@ def test_columns_are_basis_evaluations():
         points = orbit_of(spec)
         units = np.eye(code.k, dtype=int).tolist()
         expected = [[evaluate(f, m, unit, pt) for pt in points] for unit in units]
-        assert code.gen.dtype == np.int16
+        assert code.gen.dtype == np.uint8
         assert code.gen.tolist() == expected, (q, spec.u, spec.v, m)
 
 
@@ -97,6 +97,12 @@ def test_encode_names_the_non_integer_symbols():
     code = build_code(field_for_q(4), 3)
     with pytest.raises(ValueError, match=r"\[1\.7, 2\.0\] are not integers"):
         encode(code, [0, 1.7, 2.0, 3])
+
+
+@pytest.mark.parametrize("m", [2.0, 2.5])
+def test_build_code_refuses_a_non_integer_m(m):
+    with pytest.raises(ValueError, match="not integers"):
+        build_code(field_for_q(5), m)
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64])

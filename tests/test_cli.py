@@ -9,7 +9,8 @@ import pytest
 
 from hermicode import cli, verify, weights
 
-REPORT_REF = Path(__file__).parent / "ref" / "report.json"
+REF = Path(__file__).parent / "ref"
+REPORT_REF = REF / "report.json"
 
 
 def run_cli(argv):
@@ -277,3 +278,16 @@ def test_report_equals_the_reference():
     rc, out, _ = run_cli(["report", "--suite", "all", "--jobs", "1"])
     assert rc == 0
     assert out.encode() == REPORT_REF.read_bytes()
+
+
+# Both extension fields, p = 2 and odd p, and the largest generators.
+@pytest.mark.parametrize("argv, name", [
+    (["points", "--q", "8"], "points_q8.json"),
+    (["points", "--q", "9"], "points_q9.json"),
+    (["build", "--q", "8", "--m", "7"], "build_q8_m7.json"),
+    (["build", "--q", "9", "--m", "8"], "build_q9_m8.json"),
+])
+def test_points_and_build_equal_the_reference(argv, name):
+    rc, out, _ = run_cli(argv)
+    assert rc == 0
+    assert out.encode() == (REF / name).read_bytes()

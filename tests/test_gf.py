@@ -7,7 +7,7 @@ import pytest
 from oracles import table_combination
 
 from hermicode import gf
-from hermicode.agcode import build_code
+from hermicode.agcode import build_code, monomial_rows
 from hermicode.gf import SUPPORTED_Q, field_for_q, make_field
 
 ALL_Q = sorted(SUPPORTED_Q)
@@ -153,6 +153,24 @@ def test_field_tables_are_read_only():
     assert tables and not any(t.flags.writeable for t in tables)
 
 
+SYMBOL_TABLES = ("mul_table", "add_table", "neg_table", "inv_table", "exp_table",
+                 "frobenius_table")
+
+
+@pytest.mark.parametrize("q", sorted(SUPPORTED_Q))
+def test_symbols_are_stored_as_uint8(q):
+    # gf alone decides how a symbol is stored; generators are gathered
+    # from its tables and keep their dtype.
+    f = field_for_q(q)
+    for name in SYMBOL_TABLES:
+        table = getattr(f, name)
+        assert table.dtype == np.uint8 and not table.flags.writeable, name
+    for m in range(2, q):
+        code = build_code(f, m)
+        assert code.gen.dtype == np.uint8, m
+        assert monomial_rows(f, code.exponents).dtype == np.uint8, m
+
+
 def test_field_attributes_cannot_be_rebound_or_deleted():
     f = field_for_q(5)
     product = f.mul(2, 3)
@@ -175,6 +193,17 @@ def test_make_field_refuses_non_integers_cached_or_not():
                 make_field(p, k)
         field_for_q(3)
     assert make_field(np.int64(3), 1) == field_for_q(3)
+
+
+def test_field_for_q_refuses_non_integers_cached_or_not():
+    # 3.0 == 3 and hashes alike, so without the check it finds F_9.
+    make_field.cache_clear()
+    for _ in range(2):
+        for q in (3.0, np.float64(5.0), 9.5):
+            with pytest.raises(ValueError, match="not integers"):
+                field_for_q(q)
+        field_for_q(3), field_for_q(5)
+    assert field_for_q(np.int64(9)) is field_for_q(9)
 
 
 # (irreducible, omega) per q: both fix every encoding, so they are pinned.

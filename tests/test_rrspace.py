@@ -2,6 +2,7 @@
 point-by-point evaluation oracle (``oracles.evaluate``) that the
 generator tests rely on: constants, the closed form of y/x^2, poles."""
 
+import numpy as np
 import pytest
 from oracles import evaluate
 
@@ -40,6 +41,13 @@ def test_m_out_of_range_rejected(q, m):
     f = field_for_q(q)
     with pytest.raises(ValueError):
         powers(f, m)
+
+
+@pytest.mark.parametrize("m", [2.0, 2.5, np.float64(3), "3"], ids=repr)
+def test_non_integer_m_rejected(m):
+    # 2.0 passes the range check, and range() would then raise a bare TypeError.
+    with pytest.raises(ValueError, match="not integers"):
+        powers(field_for_q(5), m)
 
 
 def test_constant_function_evaluates_to_one():

@@ -232,6 +232,18 @@ def test_checks_for_single_pair():
     assert any(i.startswith("m3.distance") for i in ids)
 
 
+def test_code_for_refuses_non_integers_cached_or_not():
+    # typed cache: 3.0 must not hit the entry of 3, before or after it exists.
+    verify.code_for.cache_clear()
+    for _ in range(2):
+        for q, m in [(3.0, 2), (3, 2.0), (np.float64(5), 3), (5, 2.5)]:
+            with pytest.raises(ValueError, match="not integers"):
+                verify.code_for(q, m)
+        verify.code_for(3, 2), verify.code_for(5, 3)
+    with pytest.raises(ValueError, match="not integers"):
+        verify.checks_for(3.0, 2)
+
+
 def test_every_claim_at_q9_passes():
     # q = 9 is outside SUITE_QS, so no suite reference pins its claims.
     assert 9 not in verify.SUITE_QS

@@ -119,8 +119,7 @@ def test_box_kernel_random_differential(monkeypatch, q, n, sizes):
         factors[0][0] = field.neg_table[factors[-1][0]] if len(factors) > 1 else 0
     expected = _brute_box_counts(field, factors)
     assert expected[0] >= (n == 80)
-    add = field.add_table.astype(np.uint8)
-    folded = weights._fold(add, factors, n)
+    folded = weights._fold(field.add_table, factors, n)
     assert folded.shape == (n, int(np.prod(sizes))) and folded.flags["C_CONTIGUOUS"]
     for tile in (1, 7, weights._TILE_WORDS):
         monkeypatch.setattr(weights, "_TILE_WORDS", tile)

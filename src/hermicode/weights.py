@@ -48,19 +48,18 @@ left columns against all right columns, about _TILE_WORDS words, adds
 each symbol's comparison in place into its uint8 zero counts (or makes
 one comparison over all symbols while that mask is cache-sized), and
 bincounts them, two per uint16 in a large tile, in slices whose int64
-copies stay cache-sized.  Boxes run one at a time, with no task list
-shared between them: a box is folded in the calling thread, and its
-equal-width tiles run inline at one worker or when the box is one tile,
-else through the enumeration's one thread pool.  Counts merge by
-integer addition, so tilings and workers agree.
+copies stay cache-sized.  Boxes run one at a time, each folded in the
+calling thread, its T equal tiles split into min(jobs, T) runs: the
+caller's and one per thread started for the box and joined before the
+next.  Counts merge by integer addition, so tilings and workers agree.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import operator
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from math import gcd, prod
 from types import MappingProxyType
@@ -153,16 +152,16 @@ def _box_counts(field: Field, boxes, jobs: int) -> np.ndarray:
     """Sum over the (factors, weight) boxes of weight times the weight counts
     of every word r_1 + ... + r_s, r_i a row of the d_i x n table factors[i]."""
     counts = np.zeros(boxes[0][0][0].shape[1] + 1, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for factors, weight in boxes:
-            counts += weight * _tiled_box(field, factors, map if jobs == 1 else pool.map)
+    for factors, weight in boxes:
+        counts += weight * _tiled_box(field, factors, jobs)
     return counts
 
 
-def _tiled_box(field: Field, factors, pool_map) -> np.ndarray:
-    """Weight counts of one box: its two halves folded here, its tiles
-    run by ``pool_map``, or inline when the box is one tile.  The folds
-    are dropped on return, so one box's folds are alive at a time."""
+def _tiled_box(field: Field, factors, jobs: int) -> np.ndarray:
+    """Weight counts of one box: its halves folded here, its T tiles cut into
+    w = min(jobs, T) runs, T*j//w up to T*(j+1)//w on worker j: the calling
+    thread at j = 0, else a thread started and joined here, also when a tile
+    raises.  The folds die on return: one box's folds are alive at a time."""
     n = factors[0].shape[1]
     sizes = [table.shape[0] for table in factors]
     h = min(range(len(sizes) + 1),
@@ -184,7 +183,28 @@ def _tiled_box(field: Field, factors, pool_map) -> np.ndarray:
                 zeros += np.equal(col, row, out=equal).view(np.uint8)
         return _histogram(zeros.ravel(), n)[::-1]
 
-    return sum((map if tiles == 1 else pool_map)(tile, range(0, left, width)))
+    starts, workers = range(0, left, width), min(jobs, tiles)
+    runs = [None] * workers
+
+    def run(j: int) -> None:
+        try:
+            runs[j] = sum(map(tile, starts[tiles * j // workers:tiles * (j + 1) // workers]))
+        except BaseException as exc:  # raised again below, once every worker is joined
+            runs[j] = exc
+
+    threads = []
+    try:  # a thread that cannot start leaves the started ones to be joined
+        for j in range(1, workers):
+            (thread := threading.Thread(target=run, args=(j,))).start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for result in runs:
+        if isinstance(result, BaseException):
+            raise result
+    return sum(runs)
 
 
 def _route_counts(field: Field, route: str, exponents, jobs: int) -> np.ndarray:
@@ -292,7 +312,7 @@ def weight_enumerator(code: LinearCode, method: str = "auto", jobs: int = 1) -> 
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     try:
-        positive = operator.index(jobs) >= 1  # as Field.check_symbols; a pool runs 1.5 too
+        positive = operator.index(jobs) >= 1  # as Field.check_symbols; tiles split by //
     except TypeError:
         positive = False
     if not positive:

@@ -9,11 +9,14 @@ Frobenius cut's orbits among them, and the dual distributions of the
 MacWilliams transform), and the distributions against their closed
 forms."""
 
+import collections
 import dataclasses
 import itertools
+import os
+import subprocess
 import sys
+import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from math import gcd, prod
 
 import numpy as np
@@ -137,25 +140,43 @@ def test_histogram_branches_agree_at_their_boundary(n):
         assert np.array_equal(weights._histogram(flat, n), np.bincount(flat, minlength=n + 1))
 
 
-class RecordingPool:
-    """Stand-in for the thread pool: records its workers and the tile
-    count of each map, and runs the tiles in the calling thread."""
-    pools: list = []
+class RecordingThread(threading.Thread):
+    """A real thread that records itself and, as it starts, how many of
+    the recorded threads are alive with it."""
+    started: list = []
+    peaks: list = []
 
-    def __init__(self, max_workers):
-        self.max_workers, self.maps = max_workers, []
-        RecordingPool.pools.append(self)
+    def start(self):
+        RecordingThread.peaks.append(1 + sum(t.is_alive() for t in RecordingThread.started))
+        RecordingThread.started.append(self)
+        super().start()
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        return False
+def _record_boxes(monkeypatch):
+    """Patch the kernel so that each box appends to the returned list the
+    threads that ran its tiles, one per tile, and the threads it started;
+    the kernel's threads are RecordingThreads.  (Idents are not used:
+    a thread that has ended can pass its ident on.)"""
+    boxes = []
+    histogram, tiled_box = weights._histogram, weights._tiled_box
 
-    def map(self, fn, tiles):
-        tiles = list(tiles)
-        self.maps.append(len(tiles))
-        return [fn(tile) for tile in tiles]
+    def recording_histogram(*args):
+        boxes[-1][0].append(threading.current_thread())
+        return histogram(*args)
+
+    def recording_tiled_box(*args):
+        threads, first = [], len(RecordingThread.started)
+        boxes.append(([], threads))
+        out = tiled_box(*args)
+        threads += RecordingThread.started[first:]
+        return out
+
+    monkeypatch.setattr(RecordingThread, "started", [])
+    monkeypatch.setattr(RecordingThread, "peaks", [])
+    monkeypatch.setattr(weights.threading, "Thread", RecordingThread)
+    monkeypatch.setattr(weights, "_histogram", recording_histogram)
+    monkeypatch.setattr(weights, "_tiled_box", recording_tiled_box)
+    return boxes
 
 
 def _random_boxes(field, seed):
@@ -173,13 +194,12 @@ def _random_boxes(field, seed):
 def test_box_list_sums_the_weighted_boxes(monkeypatch):
     # Random boxes at q = 5 and q = 8.  A 16-word tile cuts the large
     # boxes into several tiles and leaves the small ones whole; 50 words
-    # cut them differently, and every box fits one default tile.  Each box
-    # runs as one inline tile or as one map over the pool, and jobs = 1
-    # never uses the pool.
-    monkeypatch.setattr(weights, "ThreadPoolExecutor", RecordingPool)
-    tiles = []
-    histogram = weights._histogram
-    monkeypatch.setattr(weights, "_histogram", lambda *a: tiles.append(1) or histogram(*a))
+    # cut them differently, and every box fits one default tile.  A box of
+    # T tiles runs on w = min(jobs, T) workers: the calling thread and one
+    # started thread per other worker, each running T // w or T // w + 1
+    # of the tiles.  So jobs = 1 and one-tile boxes start no thread, and
+    # the tiles are the same at every jobs.
+    caller = threading.current_thread()
     default = weights._TILE_WORDS
     for q in (5, 8):
         field = field_for_q(q)
@@ -187,19 +207,20 @@ def test_box_list_sums_the_weighted_boxes(monkeypatch):
         for tile in (16, 50, default):
             monkeypatch.setattr(weights, "_TILE_WORDS", tile)
             for jobs in (1, 2, 3):
-                monkeypatch.setattr(RecordingPool, "pools", [])
-                tiles.clear()
+                runs = _record_boxes(monkeypatch)
                 assert np.array_equal(weights._box_counts(field, boxes, jobs), expected)
-                (pool,) = RecordingPool.pools
-                assert pool.max_workers == jobs
-                assert all(size >= 2 for size in pool.maps)
+                assert len(runs) == len(boxes)
                 if jobs == 1:
-                    assert pool.maps == [] and len(tiles) >= len(boxes)
-                    inline = len(tiles)
-                else:
-                    assert len(tiles) == inline
-                    assert len(pool.maps) + len(tiles) - sum(pool.maps) == len(boxes)
-                    assert bool(pool.maps) == (tile != default)
+                    tiles = [len(ran) for ran, _ in runs]
+                    assert min(tiles) >= 1 and (max(tiles) > 1) == (tile != default)
+                assert [len(ran) for ran, _ in runs] == tiles
+                for (ran, threads), size in zip(runs, tiles):
+                    workers = min(jobs, size)
+                    assert len(threads) == workers - 1
+                    assert not any(thread.is_alive() for thread in threads)
+                    per_worker = collections.Counter(ran)
+                    assert set(per_worker) == {caller, *threads}
+                    assert set(per_worker.values()) <= {size // workers, -(-size // workers)}
 
 
 def test_boxes_are_folded_when_their_tiles_are_reached(monkeypatch):
@@ -811,52 +832,71 @@ def test_a_misweighted_orbit_is_refused_before_the_kernel(monkeypatch, q, m, del
     assert kernel_calls == []
 
 
-class CountingPool(ThreadPoolExecutor):
-    """A real thread pool that records the tile count of each map and
-    how many threads it started."""
-    pools: list = []
-
-    def __init__(self, max_workers):
-        super().__init__(max_workers=max_workers)
-        self.maps, self.threads = [], None
-        CountingPool.pools.append(self)
-
-    def map(self, fn, tiles):
-        tiles = list(tiles)
-        self.maps.append(len(tiles))
-        return super().map(fn, tiles)
-
-    def __exit__(self, *exc):
-        self.threads = len(self._threads)
-        return super().__exit__(*exc)
-
-
 def test_workers_are_capped_at_the_chunk_count(monkeypatch):
-    # jobs = 1000 is far above any box's tile count.  The pool starts a
-    # thread only for a tile that finds none idle, and a box's tiles all
-    # finish before the next box's start, so no more threads start than
-    # the largest box has tiles.  With the default tile every box of
-    # q = 4, m = 3 is one tile and runs inline; 2^8 words cut the largest
+    # jobs = 1000 is far above any box's tile count.  A box starts one
+    # thread per tile after the first and joins them before the next box
+    # starts, so no more threads are alive at once than the largest box
+    # has tiles, less one.  With the default tile every box of q = 4,
+    # m = 3 is one tile and starts none; 2^8 words cut the largest
     # exhaustive box, 16^3 words, into 16 tiles, 2^4 words the largest
     # reduced boxes, 3 x 16 words, into 3.
     code = agcode.build_code(field_for_q(4), 3)
     methods = {"exhaustive": 1 << 8, "reduced": 1 << 4}
     base = {method: weight_enumerator(code, method, jobs=1).counts for method in methods}
     monkeypatch.setattr(weights, "_ENUMERATORS", {})
-    monkeypatch.setattr(CountingPool, "pools", [])
-    monkeypatch.setattr(weights, "ThreadPoolExecutor", CountingPool)
     for method in methods:
+        boxes = _record_boxes(monkeypatch)
         weights._ENUMERATORS.clear()
         assert weight_enumerator(code, method, jobs=1000).counts == base[method]
-    assert [(pool.maps, pool.threads) for pool in CountingPool.pools] == [([], 0)] * 2
-    CountingPool.pools.clear()
+        assert RecordingThread.started == [] and {len(ran) for ran, _ in boxes} == {1}
     for method, tile in methods.items():
         monkeypatch.setattr(weights, "_TILE_WORDS", tile)
+        boxes = _record_boxes(monkeypatch)
         weights._ENUMERATORS.clear()
         assert weight_enumerator(code, method, jobs=1000).counts == base[method]
-    assert [max(pool.maps) for pool in CountingPool.pools] == [16, 3]
-    for pool in CountingPool.pools:
-        assert 1 <= pool.threads <= max(pool.maps)
+        most = max(len(ran) for ran, _ in boxes)
+        assert most == {"exhaustive": 16, "reduced": 3}[method]
+        assert all(len(threads) == len(ran) - 1 for ran, threads in boxes)
+        assert 1 <= max(RecordingThread.peaks) <= most - 1
+        assert not any(thread.is_alive() for thread in RecordingThread.started)
+
+
+class TileError(Exception):
+    """Raised by a patched tile."""
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_tile_error_reaches_the_caller_after_every_join(monkeypatch, where):
+    # One tile fails, in a started thread or in the calling thread; the
+    # other workers run to the end, and the error reaches the caller of
+    # _box_counts with its own type once every thread is joined.
+    field = field_for_q(5)
+    boxes, _ = _random_boxes(field, 97)
+    caller = threading.current_thread()
+    histogram = weights._histogram
+
+    def failing_histogram(*args):
+        if (threading.current_thread() is caller) == (where == "caller"):
+            raise TileError(where)
+        return histogram(*args)
+
+    monkeypatch.setattr(weights, "_histogram", failing_histogram)
+    monkeypatch.setattr(weights, "_TILE_WORDS", 8)
+    before = threading.active_count()
+    with pytest.raises(TileError, match=where):
+        weights._box_counts(field, boxes, 3)
+    assert threading.active_count() == before
+
+
+def test_import_loads_no_executor():
+    # The kernel's workers are plain threads: importing the package and
+    # its CLI loads neither concurrent.futures nor the logging it imports.
+    src = os.path.dirname(os.path.dirname(weights.__file__))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, hermicode, hermicode.cli\n"
+         "print(*sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True, timeout=60)
+    assert loaded.stdout.split() == []
 
 
 def test_enumerator_bookkeeping():
@@ -903,8 +943,9 @@ def test_jobs_do_not_change_counts(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [0, -2, 1.5, 2.0, "2", np.array(1.5), np.array([2])])
 def test_weight_enumerator_refuses_nonpositive_jobs(jobs):
-    # Refused also when the enumerator is already cached; 1.5 and 2.0
-    # would run in a thread pool, and "2" would fail there with a TypeError.
+    # Refused also when the enumerator is already cached; the kernel
+    # splits tiles among jobs workers by integer division, which 1.5,
+    # 2.0 and "2" would break.
     # A 0-d float array has __index__ on its type, but operator.index
     # refuses it, as it refuses a one-element array.
     code = _code(3, 2)

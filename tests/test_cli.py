@@ -2,7 +2,11 @@
 
 import io
 import contextlib
+import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +14,7 @@ import pytest
 from hermicode import cli, verify, weights
 
 REF = Path(__file__).parent / "ref"
+SRC = Path(cli.__file__).resolve().parents[1]
 REPORT_REF = REF / "report.json"
 
 
@@ -291,3 +296,76 @@ def test_points_and_build_equal_the_reference(argv, name):
     rc, out, _ = run_cli(argv)
     assert rc == 0
     assert out.encode() == (REF / name).read_bytes()
+
+
+def run_python(args, cwd):
+    """A fresh interpreter that imports hermicode from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, timeout=60)
+
+
+def run_entry(argv, cwd):
+    """The process entry, ``python -m hermicode.cli``."""
+    return run_python(["-m", "hermicode.cli", *argv], cwd)
+
+
+def test_entry_prints_the_bytes_of_main(tmp_path):
+    argv = ["verify", "--q", "3", "--format", "csv"]
+    proc = run_entry(argv, tmp_path)
+    rc, out, _ = run_cli(argv)
+    assert proc.returncode == rc == 0 and proc.stderr == b""
+    assert proc.stdout == out.encode()
+
+    argv = ["build", "--q", "3", "--m", "2", "--out"]
+    proc = run_entry(argv + ["entry.json"], tmp_path)
+    rc, out, _ = run_cli(argv + [str(tmp_path / "main.json")])
+    assert proc.returncode == rc == 0 and proc.stdout == proc.stderr == b"" and out == ""
+    assert (tmp_path / "entry.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+    argv = ["weights", "--q", "4", "--m", "3", "--method", "exhaustive"]
+    proc = run_entry(argv, tmp_path)
+    rc, out, _ = run_cli(argv)
+    assert proc.returncode == rc == 0 and proc.stderr == b""
+    assert _without_elapsed(proc.stdout) == _without_elapsed(out)
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["weights", "--q", "9", "--m", "9"], 2),
+    (["weights", "--q", "7", "--m", "5", "--method", "exhaustive"], 3),
+])
+def test_entry_exits_with_the_status_of_main(tmp_path, argv, status):
+    proc = run_entry(argv, tmp_path)
+    assert proc.returncode == status and proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+
+def test_library_and_main_never_freeze(tmp_path):
+    # A fresh interpreter starts with nothing frozen.
+    code = ("import gc; from hermicode import cli; "
+            "status = cli.main(['verify', '--q', '3', '--out', 'v.json']); "
+            "print(status, gc.get_freeze_count())")
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.stdout == b"0 0\n" and proc.stderr == b""
+
+
+def test_console_main_freezes_after_main_returns(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 1)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exit_:
+        cli.console_main()
+    assert exit_.value.code == 1 and calls == ["main", "freeze"]
+
+
+def test_console_main_does_not_freeze_when_main_raises(monkeypatch):
+    calls = []
+
+    def broken():
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(cli, "main", broken)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(RuntimeError, match="internal fault"):
+        cli.console_main()
+    assert calls == []

@@ -135,7 +135,7 @@ def check_cyclic(code: LinearCode) -> bool:
     the lambda_t are distinct, so the rows are independent eigenvectors.
     Fallback: rank k for the rows, and for the rows stacked on their shifts."""
     f, gen = code.field, code.gen
-    shifted = np.roll(gen, -1, axis=1)
+    shifted = np.concatenate((gen[:, 1:], gen[:, :1]), axis=1)
     first = (np.arange(code.k), np.argmax(gen != 0, axis=1))
     if gen[first].all():
         lam = f.mul_table[shifted[first], f.inv_table[gen[first]]]

@@ -18,7 +18,7 @@ return to 1 at q^2 - 1.  Both choices are fixed, so encodings, point
 orderings and generator matrices are reproducible across runs, and the
 enumeration code works on flat numpy integer arrays.
 
-Addition is digit-wise mod p: per pair in ``add_table``, in bulk in ``combine``.
+Addition is digit-wise mod p: per pair in ``add_table``, in byte lanes in ``combine``.
 """
 
 from __future__ import annotations
@@ -52,6 +52,16 @@ def _product_table(digits: np.ndarray, low: np.ndarray, p: int) -> np.ndarray:
         shifts.append((np.pad(prev[:, :-1], ((0, 0), (1, 0))) - carry * low) % p)
     products = np.tensordot(digits, np.stack(shifts), axes=1) % p
     return products @ p ** np.arange(digits.shape[1])
+
+
+@lru_cache(maxsize=None)
+def _unpack_table(p: int) -> np.ndarray:
+    """Read-only: the encoding, digits mod p, of two byte lanes of digit sums
+    at their <u2 value.  Built on first use, once per p."""
+    digit = np.arange(256, dtype=np.uint8) % p  # uint8 throughout: no 512 KB int64 temporary
+    table = np.add.outer(p * digit, digit).ravel()
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -114,9 +124,14 @@ class Field:
                       add_table=(sums * weights).sum(axis=2),
                       neg_table=((digits * (p - 1)) % p * weights).sum(axis=1),
                       # c^(n-1) is the inverse of c != 0, and 0 maps to 0 in both rows.
-                      inv_table=powers[n - 1], _digits=digits)
+                      inv_table=powers[n - 1])
         tables = {name: table.astype(np.uint8) for name, table in tables.items()}
-        tables.update(log_table=log, _places=weights, subfield_mask=subfield)
+        # combine's products at a * Q + b: the encodings, whose digits are bits
+        # at p = 2; for odd p one base-p digit per byte lane.
+        tables.update(log_table=log, subfield_mask=subfield, _products=tables["mul_table"].ravel())
+        if p > 2:
+            lanes = (digits @ (1 << 8 * np.arange(deg))).astype(f"<u{deg}")
+            tables["_products"] = lanes[mul].ravel()
         for table in tables.values():
             table.flags.writeable = False
         vars(self).update(tables, irreducible=tuple(int(c) for c in low) + (1,), omega=omega)
@@ -147,13 +162,17 @@ class Field:
         return int(self.exp_table[(int(self.log_table[a]) * e) % n])
 
     def combine(self, coefs, rows) -> np.ndarray:
-        """Sum over t of coefs[..., t] * rows[t] for (k, n) ``rows``, as int64
-        encodings: one product gather, then the products' base-p digits
-        summed mod p (XOR for p = 2).  No terms give zeros."""
-        products = self.mul_table[np.asarray(coefs, dtype=np.int64)[..., None], rows]
-        # take() copies whole digit rows, many times faster than indexing here.
-        sums = np.take(self._digits, products, axis=0).sum(axis=-3, dtype=np.int32) % self.p
-        return sums @ self._places
+        """Sum over t of coefs[..., t] * rows[t] for (k, n) ``rows``, as uint8 encodings (zeros
+        for no terms): one product gather, summed by XOR at p = 2, else in byte lanes of base-p
+        digits read back mod p; odd p refuses over 255 // (p - 1) terms, which would carry."""
+        coefs, p = np.asarray(coefs, dtype=np.int64), self.p
+        if p > 2 and coefs.shape[-1] * (p - 1) > 255:
+            raise ValueError(f"combine sums at most {255 // (p - 1)} terms at p={p}")
+        products = self._products.take(coefs[..., None] * self.order + rows)
+        if p == 2:
+            return np.bitwise_xor.reduce(products, axis=-2)
+        digits = _unpack_table(p).take(np.add.reduce(products, -2, products.dtype).view("<u2"))
+        return digits if self.k == 1 else digits[..., ::2] + p * p * digits[..., 1::2]
 
     def frobenius(self, a: int) -> int:
         return int(self.frobenius_table[a])

@@ -428,11 +428,17 @@ def zero_count_via_roots(code: LinearCode, msg) -> int:
 def _poly_values(field: Field, exps, coefs) -> np.ndarray:
     """Values of sum c_t * x^e_t (e_t >= 0) at every x in F_Q, indexed by
     the encoding of x; at x = 0, x^0 = 1 and x^e = 0 for e > 0."""
-    exps = np.asarray(exps, dtype=np.int64)
-    powers = np.empty((len(exps), field.order), dtype=np.int64)
+    return field.combine(coefs, _power_table(field, tuple(np.asarray(exps).tolist())))
+
+
+@lru_cache(maxsize=None)
+def _power_table(field: Field, exps: tuple[int, ...]) -> np.ndarray:
+    """x^e_t at every x, read-only uint8 (terms, Q), built once per (field, exps)."""
+    exps = np.array(exps, dtype=np.int64)
+    powers = field.exp_table[np.outer(exps, field.log_table) % (field.order - 1)]
     powers[:, 0] = exps == 0
-    powers[:, 1:] = field.exp_table[np.outer(exps, field.log_table[1:]) % (field.order - 1)]
-    return field.combine(coefs, powers)
+    powers.flags.writeable = False
+    return powers
 
 
 # -- sparse (lacunary) polynomial root counts -----------------------------

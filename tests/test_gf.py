@@ -1,6 +1,6 @@
 """Field layer: table arithmetic against naive polynomial arithmetic,
-linear combinations against the table loop, generator order, norm/trace
-structure."""
+linear combinations against the table loop (up to the byte lanes' term
+limit), generator order, norm/trace structure."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from oracles import table_combination
 from hermicode import gf
 from hermicode.agcode import build_code, monomial_rows
 from hermicode.gf import SUPPORTED_Q, field_for_q, make_field
+from hermicode.weights import min_weight_characterization
 
 ALL_Q = sorted(SUPPORTED_Q)
 
@@ -106,6 +107,51 @@ def test_combine_matches_the_table_loop(q):
     assert np.array_equal(f.combine([], np.zeros((0, n), dtype=np.int16)), np.zeros(n))
     assert np.array_equal(f.combine(np.zeros((4, 0), dtype=np.int64),
                                     np.zeros((0, n), dtype=np.int16)), np.zeros((4, n)))
+    assert f.combine(coefs, rows).dtype == np.uint8
+
+
+def test_combine_fills_its_byte_lanes_at_p7_and_refuses_a_carry():
+    # 48 has both digits 6 at p = 7, so 42 unit coefficients fill each lane
+    # to 42 * 6 = 252; a 43rd term could reach 258 and carry.
+    f = field_for_q(7)
+    n = f.order - 1
+    rng = np.random.default_rng(7)
+    rows = rng.integers(0, f.order, (43, n))
+    rows[:, : n // 2] = 48
+    coefs = rng.integers(0, f.order, (5, 43))
+    coefs[0] = 1
+    assert np.array_equal(f.combine(coefs[:, :42], rows[:42]),
+                          table_combination(f, coefs[:, :42], rows[:42]))
+    assert not f.combine(coefs[0, :42], rows[:42])[: n // 2].any()
+    with pytest.raises(ValueError, match="at most 42 terms at p=7"):
+        f.combine(coefs, rows)
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_combine_xors_any_number_of_terms_at_p2(q):
+    f = field_for_q(q)
+    rng = np.random.default_rng([300, q])
+    rows = rng.integers(0, f.order, (300, f.order - 1))
+    coefs = rng.integers(0, f.order, (3, 300))
+    assert np.array_equal(f.combine(coefs, rows), table_combination(f, coefs, rows))
+
+
+@pytest.mark.parametrize("q", [8, 9])
+def test_combine_matches_the_table_loop_on_the_characterized_batch(q):
+    # The (q^2 - 1)(q - 1) minimum-weight messages of m = 3: the XOR path
+    # at q = 8 and the four-lane path at q = 9, in one batch each.
+    code = build_code(field_for_q(q), 3)
+    msgs = np.array(min_weight_characterization(code))
+    assert msgs.shape == ((q * q - 1) * (q - 1), code.k)
+    assert np.array_equal(code.field.combine(msgs, code.gen),
+                          table_combination(code.field, msgs, code.gen))
+
+
+def test_the_unpack_table_is_read_only_and_built_once_per_p():
+    table = gf._unpack_table(3)
+    assert gf._unpack_table(3) is table and table.shape == (1 << 16,)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 1
 
 
 @pytest.mark.parametrize("q", ALL_Q)

@@ -1104,6 +1104,26 @@ def test_root_scans_match_brute_force(q):
             assert zero_count_via_roots(code, msg) == len(_brute_roots(f, terms, 1))
 
 
+@pytest.mark.parametrize("q,m", [(q, m) for q in sorted(SUPPORTED_Q) for m in range(2, q)])
+def test_encode_and_root_scan_match_their_oracles_on_every_code(q, m):
+    # Both run through Field.combine; the table loop and the brute-force
+    # root count do not.  A zero message and three random ones per code.
+    code = _code(q, m)
+    f = code.field
+    rng = np.random.default_rng([q, m, 31])
+    msgs = np.vstack([np.zeros(code.k, dtype=np.int64), rng.integers(0, f.order, (3, code.k))])
+    words = table_combination(f, msgs, code.gen)
+    for msg, word in zip(msgs.tolist(), words.tolist()):
+        assert encode(code, msg).symbols == tuple(word)
+        exps, coefs = weights._orbit_terms(code, msg)
+        roots = _brute_roots(f, {int(e): int(c) for e, c in zip(exps, coefs) if c}, 1)
+        assert zero_count_via_roots(code, msg) == len(roots) == code.n - np.count_nonzero(word)
+    powers = weights._power_table(f, tuple(code.exponents.tolist()))
+    assert powers.dtype == np.uint8 and not powers.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        powers[0, 0] = 0
+
+
 @pytest.mark.parametrize("symbol", [-1, 9])
 def test_root_count_rejects_symbols_outside_the_field(symbol):
     code = _code(3, 2)

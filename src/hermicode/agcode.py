@@ -4,14 +4,15 @@ The generator matrix has one row per basis function and one column per
 orbit point, column i holding the value at Q_{i+1}.  With that column
 order the omega scaling of the plane realizes the coordinate shift
 (c_1, ..., c_n) -> (c_2, ..., c_n, c_1), so shift closure of the row
-space certifies that the whole code is cyclic.  ``check_cyclic`` reads
-that off a certificate, every row a shift eigenvector with distinct
-eigenvalues as in every ``build_code`` output, else off ranks.
+space certifies that the whole code is cyclic.
 
 On the orbit x = omega^i * u and y = tau * x^(q+1), so basis function
 x^a * y^b is tau^b * u^e times the monomial x^e, e = a + (q+1) b: every
 orbit gives the code of ``monomial_rows`` for the set
-E = {0} u {q+1-m+i+j(q+1) : i+j <= m-2}, as ``build_code`` checks.
+E = {0} u {q+1-m+i+j(q+1) : i+j <= m-2}, as ``build_code`` checks.  Row
+t's scale tau^b_t * u^e_t and shift eigenvalue omega^e_t are read off E:
+``check_cyclic`` certifies a generator whose rows have those eigenvalues,
+as every ``build_code`` output's do, and judges any other by ranks.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ class Codeword:
 class LinearCode:
     """A [q^2 - 1, m(m-1)/2 + 1] evaluation code over F_{q^2}.
 
-    ``powers`` holds the basis exponent pairs (a_t, b_t) and
-    ``exponents`` the shift exponents e_t = a_t + (q+1) b_t, both read-only.
+    ``powers`` holds the basis pairs (a_t, b_t), ``exponents`` the shift exponents
+    e_t = a_t + (q+1) b_t and ``scale`` the uint8 row scales tau^b_t * u^e_t, all read-only.
     No attribute can be rebound or deleted.
     """
 
@@ -49,11 +50,14 @@ class LinearCode:
     gen: np.ndarray
 
     def __post_init__(self):
-        powers = rrspace.powers(self.field, self.m)
-        exponents = powers @ np.array([1, self.field.q + 1])
-        powers.flags.writeable = exponents.flags.writeable = False
+        f = self.field
+        powers = rrspace.powers(f, self.m)
+        exponents = powers @ np.array([1, f.q + 1])
+        log_tau, log_u = f.log_table[[self.spec.tau, self.spec.u]]
+        scale = f.exp_table[(powers[:, 1] * log_tau + exponents * log_u) % (f.order - 1)]
+        powers.flags.writeable = exponents.flags.writeable = scale.flags.writeable = False
         k, n = self.gen.shape
-        vars(self).update(q=self.field.q, k=k, n=n, powers=powers, exponents=exponents)
+        vars(self).update(q=f.q, k=k, n=n, powers=powers, exponents=exponents, scale=scale)
 
     def __repr__(self) -> str:
         return f"LinearCode(q={self.q}, m={self.m}, n={self.n}, k={self.k})"
@@ -93,7 +97,7 @@ def monomial_rows(field: Field, exponents) -> np.ndarray:
 
 def build_code(field: Field, m: int, spec: OrbitSpec | None = None) -> LinearCode:
     """Evaluate the basis over the ordered orbit and check that row t is
-    tau^b_t * u^e_t times row t of ``monomial_rows``, which proves the code
+    ``scale``[t] times row t of ``monomial_rows``, which proves the code
     cyclic, of dimension k, and equal to the monomial code of E.
 
     Basis function t is x^a_t * y^b_t (``rrspace.powers``).  Every orbit
@@ -106,9 +110,7 @@ def build_code(field: Field, m: int, spec: OrbitSpec | None = None) -> LinearCod
     gen = field.exp_table[(powers @ logs.T) % (field.order - 1)]
     gen.flags.writeable = False
     code = LinearCode(field, m, spec, gen)
-    log_tau, log_u = field.log_table[[spec.tau, spec.u]]
-    scale = field.exp_table[(powers[:, 1] * log_tau + code.exponents * log_u) % (field.order - 1)]
-    rows = field.mul_table[scale[:, None], monomial_rows(field, code.exponents)]
+    rows = field.mul_table[code.scale[:, None], monomial_rows(field, code.exponents)]
     if not np.array_equal(gen, rows):
         raise RuntimeError(f"build_code(q={field.q}, m={m}): the orbit is not in shift order")
     return code
@@ -130,16 +132,14 @@ def encode(code: LinearCode, msg) -> Codeword:
 def check_cyclic(code: LinearCode) -> bool:
     """Whether the k rows span a k-dimensional shift-closed space.
 
-    Certificate: lambda_t = shift(g_t)[j] / g_t[j] at the first nonzero j of
-    row t; every row is nonzero, shift(G) is the rows scaled by lambda_t and
-    the lambda_t are distinct, so the rows are independent eigenvectors.
-    Fallback: rank k for the rows, and for the rows stacked on their shifts."""
+    Certificate: lambda_t = omega^e_t, read off E; every row is nonzero, the
+    k lambda_t are distinct and shift(G) is the rows scaled by lambda_t, so
+    the rows are independent eigenvectors.  Fallback, for any other basis:
+    rank k for the rows, and for the rows stacked on their shifts."""
     f, gen = code.field, code.gen
     shifted = np.concatenate((gen[:, 1:], gen[:, :1]), axis=1)
-    first = (np.arange(code.k), np.argmax(gen != 0, axis=1))
-    if gen[first].all():
-        lam = f.mul_table[shifted[first], f.inv_table[gen[first]]]
-        scaled = f.mul_table[lam[:, None], gen]
-        if len(set(lam.tolist())) == code.k and np.array_equal(shifted, scaled):
-            return True
+    lam = f.exp_table[code.exponents % (f.order - 1)]
+    if (gen.any(axis=1).all() and len(set(lam.tolist())) == len(lam) == code.k
+            and np.array_equal(shifted, f.mul_table[lam[:, None], gen])):
+        return True
     return linalg.rank(f, gen) == code.k and linalg.rank(f, np.vstack([gen, shifted])) == code.k

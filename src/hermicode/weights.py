@@ -406,22 +406,14 @@ def min_weight_characterization(code: LinearCode) -> list[tuple[int, ...]]:
 # -- zero counts through the univariate polynomial -----------------------
 
 
-def _orbit_terms(code: LinearCode, msg) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents and coefficients of the polynomial whose nonzero roots are
-    exactly the orbit x-coordinates where the message's function
-    vanishes: substitute y = tau*x^(q+1), divide by x^m."""
-    agcode.check_message(code, msg)
-    field = code.field
-    # x^a * y^b becomes tau^b * x^e; the exponents e_t are distinct and
-    # tau != 0, so no two terms merge and no nonzero term vanishes.
-    tau_b = field.exp_table[field.log_table[code.spec.tau] * code.powers[:, 1] % (field.order - 1)]
-    return code.exponents, field.mul_table[np.asarray(msg, dtype=np.int64), tau_b]
-
-
 def zero_count_via_roots(code: LinearCode, msg) -> int:
-    """Number of orbit points where the message's function vanishes,
-    counted by scanning nonzero roots of the substituted polynomial."""
-    values = _poly_values(code.field, *_orbit_terms(code, msg))
+    """Number of orbit points where the message's function vanishes, counted by
+    scanning nonzero roots of the substituted polynomial: with y = tau*x^(q+1) and
+    x = u*z, x^a * y^b is ``code.scale``[t] * z^e_t, and z runs over F*_Q as x does.
+    The e_t are distinct and no scale is 0: no terms merge and none vanishes."""
+    agcode.check_message(code, msg)
+    coefs = code.field.mul_table[np.asarray(msg, dtype=np.int64), code.scale]
+    values = _poly_values(code.field, code.exponents, coefs)
     return int(np.count_nonzero(values[1:] == 0))
 
 

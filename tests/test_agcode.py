@@ -129,7 +129,7 @@ def test_swapped_columns_not_cyclic():
 
 def test_built_code_arrays_are_read_only():
     code = verify.code_for(5, 3)
-    for array in (code.gen, code.powers, code.exponents):
+    for array in (code.gen, code.powers, code.exponents, code.scale):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     # A generator that the caller passes in keeps its flags.
@@ -169,13 +169,28 @@ def _counting_rank(monkeypatch):
 def test_every_built_code_is_certified_without_rank(monkeypatch):
     # Every (q, orbit, m) of the catalog: the monomial rows are shift
     # eigenvectors with distinct eigenvalues, so no rank is computed.
+    # Every catalog base point has u = 1, so the row scales are tau^b_t.
     calls = _counting_rank(monkeypatch)
     for q in (3, 4, 5, 7, 8, 9):
         f = field_for_q(q)
         for spec in all_orbit_specs(f):
             for m in range(2, q):
-                assert check_cyclic(build_code(f, m, spec)), (q, spec, m)
+                code = build_code(f, m, spec)
+                assert check_cyclic(code), (q, spec, m)
+                assert code.scale.tolist() == [f.pow(spec.tau, b) for b in code.powers[:, 1].tolist()]
     assert calls == []
+
+
+@pytest.mark.parametrize("q,m", [(3, 2), (5, 4), (9, 8)])
+def test_eigenrows_out_of_the_order_of_e_take_the_rank_path(monkeypatch, q, m):
+    # The rows are shift eigenvectors with distinct eigenvalues, but row t's
+    # eigenvalue is not omega^e_t, which is what the certificate predicts.
+    f = field_for_q(q)
+    code = build_code(f, m)
+    order = np.roll(np.arange(code.k), 1)
+    calls = _counting_rank(monkeypatch)
+    assert check_cyclic(LinearCode(f, m, code.spec, code.gen[order]))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("q,m", [(4, 3), (5, 4), (9, 8)])

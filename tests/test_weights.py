@@ -31,7 +31,7 @@ from oracles import (
 
 from hermicode import agcode, rrspace, weights
 from hermicode.agcode import encode
-from hermicode.curve import all_orbit_specs, canonical_orbit_spec, orbit_of
+from hermicode.curve import OrbitSpec, all_orbit_specs, canonical_orbit_spec, orbit_of
 from hermicode.gf import SUPPORTED_Q, field_for_q
 from hermicode.rrspace import monomials
 from hermicode.verify import ENUMERABLE
@@ -1064,9 +1064,26 @@ def test_orbit_zero_polynomial_degree_bound():
         rng = np.random.default_rng(q + m)
         for _ in range(20):
             msg = [int(x) for x in rng.integers(0, f.order, code.k)]
-            exps, coefs = weights._orbit_terms(code, msg)
-            if coefs.any():
-                assert exps[coefs != 0].max() <= q * (m - 1) - 1
+            terms = _substituted_terms(code, msg)
+            if terms:
+                assert max(terms) <= q * (m - 1) - 1
+
+
+def _substituted_terms(code, msg):
+    """{e: c} of the message's function on the orbit in z = x/u: x^a * y^b
+    is tau^b * u^e * z^e with e = a + (q+1) b, one Field.pow per factor."""
+    f, spec = code.field, code.spec
+    terms = {}
+    for c, (a, b) in zip(msg, code.powers.tolist()):
+        e = a + (f.q + 1) * b
+        terms[e] = f.mul(c, f.mul(f.pow(spec.tau, b), f.pow(spec.u, e)))
+    return {e: c for e, c in terms.items() if c}
+
+
+def _off_unit_spec(field):
+    """The canonical orbit's first point as base point, where u = omega != 1."""
+    u, v, _ = orbit_of(canonical_orbit_spec(field))[0]
+    return OrbitSpec(field, u, v)
 
 
 def _brute_roots(field, terms, start):
@@ -1094,14 +1111,15 @@ def test_root_scans_match_brute_force(q):
             terms[0] = int(rng.integers(1, f.order))
         values = weights._poly_values(f, list(terms), list(terms.values()))
         assert tuple(np.flatnonzero(values == 0).tolist()) == _brute_roots(f, terms, 0)
-    for m in range(2, min(q, 5)):
-        code = _code(q, m)
+    # The canonical base point has u = 1; on the same orbit from u = omega
+    # the polynomial in z = x/u differs and its root count does not.
+    for m, spec in itertools.product(range(2, min(q, 5)), [canonical_orbit_spec(f), _off_unit_spec(f)]):
+        code = agcode.build_code(f, m, spec)
         msgs = [[0] * code.k, [1] + [0] * (code.k - 1)]
         msgs += [[int(x) for x in rng.integers(0, f.order, code.k)] for _ in range(20)]
         for msg in msgs:
-            exps, coefs = weights._orbit_terms(code, msg)
-            terms = {int(e): int(c) for e, c in zip(exps, coefs) if c}
-            assert zero_count_via_roots(code, msg) == len(_brute_roots(f, terms, 1))
+            roots = _brute_roots(f, _substituted_terms(code, msg), 1)
+            assert zero_count_via_roots(code, msg) == len(roots) == code.n - encode(code, msg).weight
 
 
 @pytest.mark.parametrize("q,m", [(q, m) for q in sorted(SUPPORTED_Q) for m in range(2, q)])
@@ -1115,8 +1133,7 @@ def test_encode_and_root_scan_match_their_oracles_on_every_code(q, m):
     words = table_combination(f, msgs, code.gen)
     for msg, word in zip(msgs.tolist(), words.tolist()):
         assert encode(code, msg).symbols == tuple(word)
-        exps, coefs = weights._orbit_terms(code, msg)
-        roots = _brute_roots(f, {int(e): int(c) for e, c in zip(exps, coefs) if c}, 1)
+        roots = _brute_roots(f, _substituted_terms(code, msg), 1)
         assert zero_count_via_roots(code, msg) == len(roots) == code.n - np.count_nonzero(word)
     powers = weights._power_table(f, tuple(code.exponents.tolist()))
     assert powers.dtype == np.uint8 and not powers.flags.writeable
@@ -1144,6 +1161,8 @@ def test_root_count_accepts_numpy_integer_symbols(dtype):
     code = _code(4, 3)
     msg = [3, 0, 7, 12]
     assert zero_count_via_roots(code, np.array(msg, dtype=dtype)) == zero_count_via_roots(code, msg)
+    # Python bools are the integers 1 and 0, as in encode, not an index mask.
+    assert zero_count_via_roots(code, [True, False, True, False]) == zero_count_via_roots(code, [1, 0, 1, 0])
 
 
 LACUNARY_KINDS = {

@@ -9,10 +9,12 @@ space certifies that the whole code is cyclic.
 On the orbit x = omega^i * u and y = tau * x^(q+1), so basis function
 x^a * y^b is tau^b * u^e times the monomial x^e, e = a + (q+1) b: every
 orbit gives the code of ``monomial_rows`` for the set
-E = {0} u {q+1-m+i+j(q+1) : i+j <= m-2}, as ``build_code`` checks.  Row
-t's scale tau^b_t * u^e_t and shift eigenvalue omega^e_t are read off E:
-``check_cyclic`` certifies a generator whose rows have those eigenvalues,
-as every ``build_code`` output's do, and judges any other by ranks.
+E = {0} u {q+1-m+i+j(q+1) : i+j <= m-2}, as ``build_code`` checks.  Each
+code keeps that table as ``LinearCode.monomial``, with row t's scale
+tau^b_t * u^e_t; its column 0, the value at x = omega, holds the shift
+eigenvalues omega^e_t: ``check_cyclic`` certifies a generator whose rows
+have those eigenvalues, as every ``build_code`` output's do, and judges
+any other by ranks.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ class LinearCode:
     """A [q^2 - 1, m(m-1)/2 + 1] evaluation code over F_{q^2}.
 
     ``powers`` holds the basis pairs (a_t, b_t), ``exponents`` the shift exponents
-    e_t = a_t + (q+1) b_t and ``scale`` the uint8 row scales tau^b_t * u^e_t, all read-only.
+    e_t = a_t + (q+1) b_t, ``scale`` the uint8 row scales tau^b_t * u^e_t and
+    ``monomial`` the code's ``monomial_rows`` table, all read-only.
     No attribute can be rebound or deleted.
     """
 
@@ -55,9 +58,12 @@ class LinearCode:
         exponents = powers @ np.array([1, f.q + 1])
         log_tau, log_u = f.log_table[[self.spec.tau, self.spec.u]]
         scale = f.exp_table[(powers[:, 1] * log_tau + exponents * log_u) % (f.order - 1)]
-        powers.flags.writeable = exponents.flags.writeable = scale.flags.writeable = False
+        monomial = monomial_rows(f, exponents)
+        for array in (powers, exponents, scale, monomial):
+            array.flags.writeable = False
         k, n = self.gen.shape
-        vars(self).update(q=f.q, k=k, n=n, powers=powers, exponents=exponents, scale=scale)
+        vars(self).update(q=f.q, k=k, n=n, powers=powers, exponents=exponents, scale=scale,
+                          monomial=monomial)
 
     def __repr__(self) -> str:
         return f"LinearCode(q={self.q}, m={self.m}, n={self.n}, k={self.k})"
@@ -110,8 +116,7 @@ def build_code(field: Field, m: int, spec: OrbitSpec | None = None) -> LinearCod
     gen = field.exp_table[(powers @ logs.T) % (field.order - 1)]
     gen.flags.writeable = False
     code = LinearCode(field, m, spec, gen)
-    rows = field.mul_table[code.scale[:, None], monomial_rows(field, code.exponents)]
-    if not np.array_equal(gen, rows):
+    if not np.array_equal(gen, field.mul_table[code.scale[:, None], code.monomial]):
         raise RuntimeError(f"build_code(q={field.q}, m={m}): the orbit is not in shift order")
     return code
 
@@ -132,13 +137,13 @@ def encode(code: LinearCode, msg) -> Codeword:
 def check_cyclic(code: LinearCode) -> bool:
     """Whether the k rows span a k-dimensional shift-closed space.
 
-    Certificate: lambda_t = omega^e_t, read off E; every row is nonzero, the
-    k lambda_t are distinct and shift(G) is the rows scaled by lambda_t, so
-    the rows are independent eigenvectors.  Fallback, for any other basis:
-    rank k for the rows, and for the rows stacked on their shifts."""
-    f, gen = code.field, code.gen
+    Certificate: lambda_t = omega^e_t, column 0 of ``code.monomial``; every
+    row is nonzero, the k lambda_t are distinct and shift(G) is the rows
+    scaled by lambda_t, so the rows are independent eigenvectors.  Fallback,
+    for any other basis: rank k for the rows, and for the rows stacked on
+    their shifts."""
+    f, gen, lam = code.field, code.gen, code.monomial[:, 0]
     shifted = np.concatenate((gen[:, 1:], gen[:, :1]), axis=1)
-    lam = f.exp_table[code.exponents % (f.order - 1)]
     if (gen.any(axis=1).all() and len(set(lam.tolist())) == len(lam) == code.k
             and np.array_equal(shifted, f.mul_table[lam[:, None], gen])):
         return True

@@ -86,6 +86,7 @@ class OrbitSpec:
 
     def __post_init__(self):
         f = self.field
+        f.check_symbols((self.u, self.v), "orbit base point coordinates")
         if self.u == 0:
             raise ValueError("orbit base point needs u != 0")
         if f.trace(self.v) != f.norm(self.u):

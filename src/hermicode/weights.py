@@ -409,28 +409,12 @@ def min_weight_characterization(code: LinearCode) -> list[tuple[int, ...]]:
 def zero_count_via_roots(code: LinearCode, msg) -> int:
     """Number of orbit points where the message's function vanishes, counted by
     scanning nonzero roots of the substituted polynomial: with y = tau*x^(q+1) and
-    x = u*z, x^a * y^b is ``code.scale``[t] * z^e_t, and z runs over F*_Q as x does.
+    x = u*z, x^a * y^b is ``code.scale``[t] * z^e_t, and z runs over F*_Q as x does,
+    so the values are the message times the scales combined with ``code.monomial``.
     The e_t are distinct and no scale is 0: no terms merge and none vanishes."""
     agcode.check_message(code, msg)
     coefs = code.field.mul_table[np.asarray(msg, dtype=np.int64), code.scale]
-    values = _poly_values(code.field, code.exponents, coefs)
-    return int(np.count_nonzero(values[1:] == 0))
-
-
-def _poly_values(field: Field, exps, coefs) -> np.ndarray:
-    """Values of sum c_t * x^e_t (e_t >= 0) at every x in F_Q, indexed by
-    the encoding of x; at x = 0, x^0 = 1 and x^e = 0 for e > 0."""
-    return field.combine(coefs, _power_table(field, tuple(np.asarray(exps).tolist())))
-
-
-@lru_cache(maxsize=None)
-def _power_table(field: Field, exps: tuple[int, ...]) -> np.ndarray:
-    """x^e_t at every x, read-only uint8 (terms, Q), built once per (field, exps)."""
-    exps = np.array(exps, dtype=np.int64)
-    powers = field.exp_table[np.outer(exps, field.log_table) % (field.order - 1)]
-    powers[:, 0] = exps == 0
-    powers.flags.writeable = False
-    return powers
+    return int(np.count_nonzero(code.field.combine(coefs, code.monomial) == 0))
 
 
 # -- sparse (lacunary) polynomial root counts -----------------------------
@@ -446,7 +430,9 @@ def roots_of_lacunary(field: Field, kind: str, *, a: int | None = None,
       when b1*tau has norm 1, else none)
 
     Every coefficient given must be an integer in [0, Q)
-    (``Field.check_symbols``), else ValueError.
+    (``Field.check_symbols``), else ValueError.  Both forms are evaluated on
+    ``agcode.monomial_rows``, column i - 1 at x = omega^i; their constant
+    term comes last, and x = 0 is a root exactly when it is 0.
     """
     field.check_symbols([c for c in (a, b, b1, tau) if c is not None], "coefficients")
     q = field.q
@@ -463,5 +449,6 @@ def roots_of_lacunary(field: Field, kind: str, *, a: int | None = None,
         exps, coefs = (q - 1, 0), (lead, 1)
     else:
         raise ValueError(f"unknown lacunary kind {kind!r}")
-    roots = tuple(np.flatnonzero(_poly_values(field, exps, coefs) == 0).tolist())
-    return len(roots), roots
+    zeros = np.flatnonzero(field.combine(coefs, agcode.monomial_rows(field, exps)) == 0)
+    roots = [0] * (coefs[-1] == 0) + field.exp_table[(zeros + 1) % (field.order - 1)].tolist()
+    return len(roots), tuple(sorted(roots))

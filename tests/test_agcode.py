@@ -8,7 +8,7 @@ import pytest
 from oracles import evaluate, table_combination
 
 from hermicode import agcode, linalg, rrspace, verify
-from hermicode.agcode import LinearCode, build_code, check_cyclic, encode
+from hermicode.agcode import LinearCode, build_code, check_cyclic, encode, monomial_rows
 from hermicode.curve import all_orbit_specs, canonical_orbit_spec, orbit_of
 from hermicode.gf import field_for_q
 from hermicode.rrspace import monomials
@@ -129,9 +129,10 @@ def test_swapped_columns_not_cyclic():
 
 def test_built_code_arrays_are_read_only():
     code = verify.code_for(5, 3)
-    for array in (code.gen, code.powers, code.exponents, code.scale):
+    for array in (code.gen, code.powers, code.exponents, code.scale, code.monomial):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+    assert code.scale.dtype == code.monomial.dtype == np.uint8
     # A generator that the caller passes in keeps its flags.
     gen = code.gen.copy()
     fixture = LinearCode(code.field, 3, code.spec, gen)
@@ -178,6 +179,7 @@ def test_every_built_code_is_certified_without_rank(monkeypatch):
                 code = build_code(f, m, spec)
                 assert check_cyclic(code), (q, spec, m)
                 assert code.scale.tolist() == [f.pow(spec.tau, b) for b in code.powers[:, 1].tolist()]
+                assert np.array_equal(code.monomial, monomial_rows(f, code.exponents))
     assert calls == []
 
 

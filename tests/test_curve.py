@@ -149,6 +149,14 @@ def test_orbit_spec_validation():
     assert spec.tau == f.inv(f.add(f.pow(spec.v, f.q - 1), 1))
 
 
+@pytest.mark.parametrize("u,v", [(-8, -7), (1, -1), (1, 100), (9, 2), (1.0, 2), (1, 2.0), ("1", 2)])
+def test_orbit_spec_refuses_coordinates_the_tables_cannot_hold(u, v):
+    # (-8, -7) read through negative indexing is (1, 2), the canonical base
+    # point at q = 3; (1, 100) used to end in numpy's IndexError.
+    with pytest.raises(ValueError, match="orbit base point coordinates"):
+        OrbitSpec(field_for_q(3), u, v)
+
+
 @pytest.mark.parametrize("q", SMALL_Q)
 def test_on_c_tau(q):
     f = field_for_q(q)

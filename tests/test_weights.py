@@ -1098,19 +1098,26 @@ def _brute_roots(field, terms, start):
     return tuple(roots)
 
 
-@pytest.mark.parametrize("q", [3, 8, 9])
+@pytest.mark.parametrize("q", [3, 4, 8, 9])
 def test_root_scans_match_brute_force(q):
+    # roots_of_lacunary reads its roots off monomial_rows, column i - 1 at
+    # x = omega^i, and adds x = 0 when the constant term is 0; the oracle
+    # evaluates the form at every x.  Every (a, b) at q = 3 and 4; at q = 8
+    # and 9 every b = 0 (x = 0 a root), every a = 0 and random pairs.  Each
+    # pair with a, b != 0 is also a shifted form's (b1, tau).
     f = field_for_q(q)
     rng = np.random.default_rng(500 + q)
-    for trial in range(40):
-        # Exponents up to 2Q, so some wrap past Q - 1; constant terms
-        # and zero coefficients appear, and trial 0 is the empty sum.
-        exps = rng.integers(0, 2 * f.order, int(rng.integers(0, 5))) if trial else []
-        terms = {int(e): int(rng.integers(0, f.order)) for e in exps}
-        if trial % 3 == 1:
-            terms[0] = int(rng.integers(1, f.order))
-        values = weights._poly_values(f, list(terms), list(terms.values()))
-        assert tuple(np.flatnonzero(values == 0).tolist()) == _brute_roots(f, terms, 0)
+    if q < 5:
+        pairs = itertools.product(f.elements(), repeat=2)
+    else:
+        pairs = [(a, 0) for a in f.elements()] + [(0, b) for b in f.elements()]
+        pairs += rng.integers(0, f.order, (60, 2)).tolist()
+    for a, b in pairs:
+        roots = _brute_roots(f, {q + 1: 1, 1: a, 0: b}, 0)
+        assert roots_of_lacunary(f, "general", a=a, b=b) == (len(roots), roots), (a, b)
+        if a and b:  # the shifted form with b1 = a and tau = b
+            roots = _brute_roots(f, {q - 1: f.mul(a, b), 0: 1}, 0)
+            assert roots_of_lacunary(f, "shifted", b1=a, tau=b) == (len(roots), roots), (a, b)
     # The canonical base point has u = 1; on the same orbit from u = omega
     # the polynomial in z = x/u differs and its root count does not.
     for m, spec in itertools.product(range(2, min(q, 5)), [canonical_orbit_spec(f), _off_unit_spec(f)]):
@@ -1135,10 +1142,6 @@ def test_encode_and_root_scan_match_their_oracles_on_every_code(q, m):
         assert encode(code, msg).symbols == tuple(word)
         roots = _brute_roots(f, _substituted_terms(code, msg), 1)
         assert zero_count_via_roots(code, msg) == len(roots) == code.n - np.count_nonzero(word)
-    powers = weights._power_table(f, tuple(code.exponents.tolist()))
-    assert powers.dtype == np.uint8 and not powers.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        powers[0, 0] = 0
 
 
 @pytest.mark.parametrize("symbol", [-1, 9])

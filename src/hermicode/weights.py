@@ -429,10 +429,9 @@ def roots_of_lacunary(field: Field, kind: str, *, a: int | None = None,
     * ``shifted``: b1*tau*x^(q-1) + 1 with b1 != 0 (q-1 roots exactly
       when b1*tau has norm 1, else none)
 
-    Every coefficient given must be an integer in [0, Q)
-    (``Field.check_symbols``), else ValueError.  Both forms are evaluated on
-    ``agcode.monomial_rows``, column i - 1 at x = omega^i; their constant
-    term comes last, and x = 0 is a root exactly when it is 0.
+    Every coefficient given must be an integer in [0, Q) (``Field.check_symbols``),
+    else ValueError.  Both forms are evaluated on ``agcode.monomial_rows``, column
+    i - 1 at x = omega^i; x = 0 is a root exactly when the x^0 coefficient is 0.
     """
     field.check_symbols([c for c in (a, b, b1, tau) if c is not None], "coefficients")
     q = field.q
@@ -450,5 +449,6 @@ def roots_of_lacunary(field: Field, kind: str, *, a: int | None = None,
     else:
         raise ValueError(f"unknown lacunary kind {kind!r}")
     zeros = np.flatnonzero(field.combine(coefs, agcode.monomial_rows(field, exps)) == 0)
-    roots = [0] * (coefs[-1] == 0) + field.exp_table[(zeros + 1) % (field.order - 1)].tolist()
+    roots = field.exp_table[(zeros + 1) % (field.order - 1)].tolist()
+    roots += [0] if coefs[exps.index(0)] == 0 else []
     return len(roots), tuple(sorted(roots))

@@ -1098,13 +1098,26 @@ def _brute_roots(field, terms, start):
     return tuple(roots)
 
 
+def check_lacunary_forms(field, pairs):
+    """roots_of_lacunary against _brute_roots: the general form at each
+    (a, b) of ``pairs``, and the shifted form at each with a, b != 0 as
+    (b1, tau).  Tier-1 runs every pair at q = 3 and 4; CI runs every pair
+    at q = 7, 8 and 9."""
+    q = field.q
+    for a, b in pairs:
+        roots = _brute_roots(field, {q + 1: 1, 1: a, 0: b}, 0)
+        assert roots_of_lacunary(field, "general", a=a, b=b) == (len(roots), roots), (q, a, b)
+        if a and b:
+            roots = _brute_roots(field, {q - 1: field.mul(a, b), 0: 1}, 0)
+            assert roots_of_lacunary(field, "shifted", b1=a, tau=b) == (len(roots), roots), (q, a, b)
+
+
 @pytest.mark.parametrize("q", [3, 4, 8, 9])
 def test_root_scans_match_brute_force(q):
     # roots_of_lacunary reads its roots off monomial_rows, column i - 1 at
-    # x = omega^i, and adds x = 0 when the constant term is 0; the oracle
+    # x = omega^i, and adds x = 0 when the x^0 coefficient is 0; the oracle
     # evaluates the form at every x.  Every (a, b) at q = 3 and 4; at q = 8
-    # and 9 every b = 0 (x = 0 a root), every a = 0 and random pairs.  Each
-    # pair with a, b != 0 is also a shifted form's (b1, tau).
+    # and 9 every b = 0 (x = 0 a root), every a = 0 and random pairs.
     f = field_for_q(q)
     rng = np.random.default_rng(500 + q)
     if q < 5:
@@ -1112,12 +1125,7 @@ def test_root_scans_match_brute_force(q):
     else:
         pairs = [(a, 0) for a in f.elements()] + [(0, b) for b in f.elements()]
         pairs += rng.integers(0, f.order, (60, 2)).tolist()
-    for a, b in pairs:
-        roots = _brute_roots(f, {q + 1: 1, 1: a, 0: b}, 0)
-        assert roots_of_lacunary(f, "general", a=a, b=b) == (len(roots), roots), (a, b)
-        if a and b:  # the shifted form with b1 = a and tau = b
-            roots = _brute_roots(f, {q - 1: f.mul(a, b), 0: 1}, 0)
-            assert roots_of_lacunary(f, "shifted", b1=a, tau=b) == (len(roots), roots), (a, b)
+    check_lacunary_forms(f, pairs)
     # The canonical base point has u = 1; on the same orbit from u = omega
     # the polynomial in z = x/u differs and its root count does not.
     for m, spec in itertools.product(range(2, min(q, 5)), [canonical_orbit_spec(f), _off_unit_spec(f)]):
@@ -1157,6 +1165,17 @@ def test_root_count_rejects_non_integer_symbols(msg):
     code = _code(3, 2)
     with pytest.raises(ValueError, match="are not integers"):
         zero_count_via_roots(code, msg)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+@pytest.mark.parametrize("a,b", [(3, 0), (0, 0), (3, 5)])
+def test_lacunary_roots_accept_numpy_integer_coefficients(dtype, a, b):
+    # Field.check_symbols accepts numpy integers; b = 0 adds the root x = 0.
+    f = field_for_q(9)
+    assert roots_of_lacunary(f, "general", a=dtype(a), b=dtype(b)) == roots_of_lacunary(f, "general", a=a, b=b)
+    if a and b:
+        assert (roots_of_lacunary(f, "shifted", b1=dtype(a), tau=dtype(b))
+                == roots_of_lacunary(f, "shifted", b1=a, tau=b))
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
